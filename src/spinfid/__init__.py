@@ -60,6 +60,7 @@ from .scaling import (
 )
 from .crossover import (
     Crossing,
+    LnFSweep,
     PowerLawFit,
     SlopeCurve,
     find_slope_crossing,
@@ -69,6 +70,7 @@ from .crossover import (
     powerlaw_fit,
     shift_crossing,
     size_crossing,
+    sweep_lnF,
 )
 from .quench import QuenchResult, excitation_density, instantaneous_survival, kz_survival_estimate
 from .oracle import SpinState, dense_hamiltonian, ed_fidelity, ed_ground_state, ed_overlap, parity_expectation

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from multiprocessing import Pool, cpu_count
 from typing import Any, Callable, Optional
@@ -26,13 +27,13 @@ import numpy as np
 
 from . import __version__
 from .crossover import (
+    DEFAULT_TARGETS,
+    LnFSweep,
+    even_size,
     find_slope_crossing,
-    gamma_crossing,
-    local_slopes,
     log_grid,
     powerlaw_fit,
-    shift_crossing,
-    size_crossing,
+    sweep_lnF,
 )
 from .errors import ConfigError, NumericsError, SpinfidError
 from .fidelity import fidelity_product
@@ -204,24 +205,18 @@ def _verify_row(args: tuple[dict, float]) -> dict:
     return {"g": s.g, "delta": s.delta, "c": s.c, "E": s.E, "normalized": s.normalized}
 
 
+def _sweep(cfg: dict) -> LnFSweep:
+    scan = cfg["scan"]
+    return sweep_lnF(scan, cfg["_grid"], float(cfg["c"]), N=cfg.get("N"),
+                     delta=None if scan == "delta" else float(cfg["delta"]),
+                     alpha=1.0 if scan == "gamma" else float(cfg["alpha"]))
+
+
 def _crossover_point(args: tuple[dict, float]) -> dict:
     """One crossing for one fixed value: N for gamma/delta scans, delta for N scans."""
     cfg, v = args
-    scan = cfg["scan"]
-    grid = cfg["_grid"]
-    target = float(cfg["target"])
-    if scan == "gamma":
-        n = max(2, int(round(v / 2.0)) * 2)
-        cr = gamma_crossing(n, float(cfg["delta"]), float(cfg["c"]), grid, target=target)
-        v = n
-    elif scan == "N":
-        cr = size_crossing(float(v), float(cfg["c"]), grid,
-                           alpha=float(cfg["alpha"]), target=target)
-    else:
-        n = max(2, int(round(v / 2.0)) * 2)
-        cr = shift_crossing(n, float(cfg["c"]), grid,
-                            alpha=float(cfg["alpha"]), target=target)
-        v = n
+    key, v = ("delta", float(v)) if cfg["scan"] == "N" else ("N", even_size(v))
+    cr = _sweep(dict(cfg, **{key: v})).crossing(cfg["target"])
     return {"sweep_value": float(v), "crossing": cr.x, "multiple": cr.multiple}
 
 
@@ -295,59 +290,33 @@ def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
     per_dec = int(cfg.get("per_decade") or 20)
     grid = _parse_log_range(cfg["range"], "--range", per_dec)
     _require(cfg.get("c") is not None, "crossover needs --c")
-    target = float(cfg.get("target") if cfg.get("target") is not None
-                   else (1.75 if scan == "delta" else 1.5))
-    cfg = dict(cfg)
-    cfg["target"] = target
-    cfg["_grid"] = [float(v) for v in grid]
+    target = float(cfg["target"] if cfg.get("target") is not None else DEFAULT_TARGETS[scan])
+    cfg = dict(cfg, target=target, _grid=[float(v) for v in grid])
     if scan in ("N", "delta"):
         _require(cfg.get("alpha") is not None, f"--scan {scan} needs --alpha")
+    extras: dict = {"target": target}
 
     sweep_list = cfg.get("sweep_list")
+    if scan == "gamma" or (scan == "N" and not sweep_list):  # N scans over a list sweep delta
+        _require(cfg.get("delta") is not None, f"--scan {scan} needs --delta")
     if sweep_list:
-        if scan == "gamma":
-            _require(cfg.get("delta") is not None, "--scan gamma needs --delta")
         vals = _parse_float_list(sweep_list, "--sweep-list")
         rows = _map_ordered(_crossover_point, [(cfg, v) for v in vals], cfg["parallelism"])
-        extras: dict = {"target": target}
         if len(rows) >= 3:
             fit = powerlaw_fit([(r["sweep_value"], r["crossing"]) for r in rows])
-            extras["fit"] = {"intercept": fit.intercept, "slope": fit.slope,
-                             "intercept_se": fit.intercept_se, "slope_se": fit.slope_se,
-                             "n_points": fit.n_points}
+            extras["fit"] = asdict(fit)
         return rows, extras
 
     # single sweep: emit the slope curve itself
-    if scan == "gamma":
-        _require(cfg.get("N") is not None and cfg.get("delta") is not None,
-                 "--scan gamma needs --N and --delta")
-        N = _even_int(cfg["N"], "--N")
-        spec_of = lambda v: PathA(float(v), float(cfg["delta"]), float(cfg["c"]))
-        ys = [-fidelity_product(*resolve_path(spec_of(v)), N).lnF for v in grid]
-        curve = local_slopes(1.0 / grid[::-1], np.asarray(ys)[::-1])
-        rows = [{"gamma": float(g), "minus_lnF": float(y), "slope": float(s)}
-                for g, y, s in zip(grid, ys, curve.s[::-1])]
-    elif scan == "N":
-        _require(cfg.get("delta") is not None, "--scan N needs --delta")
-        p1, p2 = resolve_path(PathD(float(cfg["alpha"]), float(cfg["delta"]), float(cfg["c"])))
-        Ns = sorted({max(2, int(round(v / 2.0)) * 2) for v in grid})
-        ys = [-fidelity_product(p1, p2, n).lnF for n in Ns]
-        curve = local_slopes(np.asarray(Ns, dtype=float), np.asarray(ys))
-        rows = [{"N": int(n), "minus_lnF": float(y), "slope": float(s)}
-                for n, y, s in zip(Ns, ys, curve.s)]
-    else:
-        _require(cfg.get("N") is not None, "--scan delta needs --N")
-        N = _even_int(cfg["N"], "--N")
-        ys = [-fidelity_product(*resolve_path(
-            PathD(float(cfg["alpha"]), float(v), float(cfg["c"]))), N).lnF for v in grid]
-        curve = local_slopes(grid, np.asarray(ys))
-        rows = [{"delta": float(v), "minus_lnF": float(y), "slope": float(s)}
-                for v, y, s in zip(grid, ys, curve.s)]
-    extras = {"target": target}
+    if scan != "N":
+        cfg["N"] = _even_int(cfg.get("N"), "--N")
+    sw = _sweep(cfg)
+    rows = [{scan: v.item(), "minus_lnF": float(y), "slope": float(s)}
+            for v, y, s in zip(sw.values, sw.minus_lnF, sw.slopes)]
     try:
-        cr = find_slope_crossing(curve, target)
+        cr = find_slope_crossing(sw.curve, target)
         extras["crossing_ln"] = cr.x
-        extras["crossing"] = math.exp(cr.x) if scan != "gamma" else math.exp(-cr.x)
+        extras["crossing"] = sw.value_at(cr.x)
         extras["crossing_multiple"] = cr.multiple
     except SpinfidError:
         extras["crossing"] = None
@@ -456,9 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list of fixed values (N for gamma/delta scans, delta for N scans); "
                         "emits crossing per value plus a power-law fit")
     p.add_argument("--N", type=int)
-    p.add_argument("--N-fixed", dest="N_fixed", type=int)
     p.add_argument("--delta", type=float)
-    p.add_argument("--delta-fixed", dest="delta_fixed", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--c", type=float)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -126,42 +126,74 @@ def log_grid(lo: float, hi: float, per_decade: int = 20) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-def _even(n: float) -> int:
+def even_size(n: float) -> int:
+    """Nearest even chain length, at least 2."""
     return max(2, int(round(n / 2.0)) * 2)
 
 
-def gamma_crossing(N: int, delta: float, c: float, gammas: Sequence[float],
-                   target: float = 1.5) -> Crossing:
-    """Anisotropy at which the ln(-ln F) slope vs 1/gamma passes the target.
+# half-way between the slope plateaus: 2 -> 1 against 1/gamma and N, 2 -> 3/2 against delta
+DEFAULT_TARGETS = {"gamma": 1.5, "N": 1.5, "delta": 1.75}
 
-    Sweeps the Ising crossing at fixed (N, delta, c) over gammas; the slope is
-    taken against x = 1/gamma so the small-system plateau reads 2 and the
-    thermodynamic one reads 1.  Returns the crossing as gamma (not ln).
-    """
-    gammas = np.sort(np.asarray(gammas, dtype=np.float64))
-    y = [-fidelity_product(*resolve_path(PathA(g, delta, c)), N).lnF for g in gammas]
-    curve = local_slopes(1.0 / gammas[::-1], np.asarray(y)[::-1])
-    cr = find_slope_crossing(curve, target)
-    return Crossing(x=math.exp(-cr.x), multiple=cr.multiple)
+
+@dataclass(frozen=True)
+class LnFSweep:
+    """-ln F and local slopes at ascending swept values (sizes as integers), plus the slope
+    curve, which runs in x = ln(1/gamma) for gamma sweeps (small-system plateau first) and
+    in x = ln(value) otherwise."""
+    scan: str
+    values: np.ndarray
+    minus_lnF: np.ndarray
+    slopes: np.ndarray
+    curve: SlopeCurve
+
+    def value_at(self, x: float) -> float:
+        """Swept value at curve abscissa x."""
+        return math.exp(-x) if self.scan == "gamma" else math.exp(x)
+
+    def crossing(self, target: float) -> Crossing:
+        """First slope crossing of target, as a swept value."""
+        cr = find_slope_crossing(self.curve, target)
+        return Crossing(x=self.value_at(cr.x), multiple=cr.multiple)
+
+
+def sweep_lnF(scan: str, grid: Sequence[float], c: float, *, N: Optional[int] = None,
+              delta: Optional[float] = None, alpha: float = 1.0) -> LnFSweep:
+    """Exact -ln F over a sorted sweep of gamma (PathA at fixed N, delta), N (PathD at
+    fixed delta; sizes rounded to even and deduplicated) or delta (PathD at fixed N)."""
+    values = np.sort(np.asarray(grid, dtype=np.float64))
+    if scan == "N":
+        values = np.unique([even_size(v) for v in values])
+        points = [(resolve_path(PathD(alpha, delta, c)), int(n)) for n in values]
+    elif scan == "gamma":
+        points = [(resolve_path(PathA(float(g), delta, c)), N) for g in values]
+    elif scan == "delta":
+        points = [(resolve_path(PathD(alpha, float(d), c)), N) for d in values]
+    else:
+        raise DomainError(f"scan must be gamma, N, or delta, got {scan!r}")
+    y = np.array([-fidelity_product(p1, p2, n).lnF for (p1, p2), n in points])
+    if scan == "gamma":
+        curve = local_slopes(1.0 / values[::-1], y[::-1])
+        return LnFSweep(scan, values, y, curve.s[::-1], curve)
+    curve = local_slopes(values, y)
+    return LnFSweep(scan, values, y, curve.s, curve)
+
+
+def gamma_crossing(N: int, delta: float, c: float, gammas: Sequence[float],
+                   target: float = DEFAULT_TARGETS["gamma"]) -> Crossing:
+    """Anisotropy gamma (not ln) at which the slope of ln(-ln F) vs ln(1/gamma) passes
+    the target, on PathA at fixed (N, delta, c)."""
+    return sweep_lnF("gamma", gammas, c, N=N, delta=delta).crossing(target)
 
 
 def size_crossing(delta: float, c: float, Ns: Sequence[float], alpha: float = 1.0,
-                  target: float = 1.5) -> Crossing:
-    """System size at which the slope of ln(-ln F) vs ln N passes the target.
-
-    Multicritical approach at fixed (delta, c); sizes are rounded to even.
-    """
-    Ns = np.asarray([_even(n) for n in Ns], dtype=np.float64)
-    p1, p2 = resolve_path(PathD(alpha, delta, c))
-    y = [-fidelity_product(p1, p2, int(n)).lnF for n in Ns]
-    cr = find_slope_crossing(local_slopes(Ns, y), target)
-    return Crossing(x=math.exp(cr.x), multiple=cr.multiple)
+                  target: float = DEFAULT_TARGETS["N"]) -> Crossing:
+    """System size at which the slope of ln(-ln F) vs ln N passes the target, on the
+    multicritical approach at fixed (delta, c).  Sizes are rounded to even and
+    deduplicated, so their order and repeats do not matter."""
+    return sweep_lnF("N", Ns, c, delta=delta, alpha=alpha).crossing(target)
 
 
 def shift_crossing(N: int, c: float, deltas: Sequence[float], alpha: float = 1.0,
-                   target: float = 1.75) -> Crossing:
+                   target: float = DEFAULT_TARGETS["delta"]) -> Crossing:
     """Parameter shift at which the slope of ln(-ln F) vs ln delta passes the target."""
-    deltas = np.sort(np.asarray(deltas, dtype=np.float64))
-    y = [-fidelity_product(*resolve_path(PathD(alpha, d, c)), N).lnF for d in deltas]
-    cr = find_slope_crossing(local_slopes(deltas, y), target)
-    return Crossing(x=math.exp(cr.x), multiple=cr.multiple)
+    return sweep_lnF("delta", deltas, c, N=N, alpha=alpha).crossing(target)

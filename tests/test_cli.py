@@ -1,13 +1,16 @@
 """Command-line driver: formats, determinism, parallelism, round trips, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spinfid import NumericsError
+from spinfid import NumericsError, gamma_crossing, shift_crossing, size_crossing, sweep_lnF
 from spinfid import cli
+from spinfid.crossover import even_size
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -88,6 +91,99 @@ class TestBasics:
         rows = data_section(text).strip().splitlines()
         assert rows[0] == "gamma,delta,c,E,normalized"
         assert abs(float(rows[1].split(",")[4])) < 0.25
+
+
+def log_range(lo, hi, n):
+    """The grid the CLI builds from --range lo:hi:n."""
+    return np.logspace(math.log10(lo), math.log10(hi), n)
+
+
+GAMMA_GRID = log_range(1e-5, 1.0, 21)
+SIZE_GRID = log_range(2.0, 2e4, 40)  # small sizes round onto the same even values
+SHIFT_GRID = log_range(1e-9, 1e-4, 30)
+# scan -> (its flags, --sweep-list, library crossing at one listed value,
+#          flag and library keywords of a single sweep at the first listed value)
+SCANS = {
+    "gamma": (["--scan", "gamma", "--delta", "3e-7", "--c", "-1", "--range", "1e-5:1:21"],
+              "2000,999,4000", lambda v: gamma_crossing(even_size(v), 3e-7, -1.0, GAMMA_GRID),
+              ["--N", "2000"], dict(grid=GAMMA_GRID, c=-1.0, N=2000, delta=3e-7)),
+    "N": (["--scan", "N", "--alpha", "1", "--c", "1", "--range", "2:2e4:40"],
+          "1e-6,3e-6,1e-5", lambda v: size_crossing(v, 1.0, SIZE_GRID, alpha=1.0),
+          ["--delta", "1e-6"], dict(grid=SIZE_GRID, c=1.0, delta=1e-6, alpha=1.0)),
+    "delta": (["--scan", "delta", "--alpha", "1", "--c", "1", "--range", "1e-9:1e-4:30"],
+              "2000,1000,4000", lambda v: shift_crossing(even_size(v), 1.0, SHIFT_GRID, alpha=1.0),
+              ["--N", "2000"], dict(grid=SHIFT_GRID, c=1.0, N=2000, alpha=1.0)),
+}
+
+
+class TestCrossoverMatchesLibrary:
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_sweep_list_rows_equal_library_crossings(self, scan, tmp_path):
+        flags, sweep_list, library, _, _ = SCANS[scan]
+        code, text = run_cli(["crossover", *flags, "--sweep-list", sweep_list,
+                              "--format", "json"], tmp_path)
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        values = [float(v) for v in sweep_list.split(",")]
+        assert len(rows) == len(values)
+        for v, row in zip(values, rows):
+            want = library(v)
+            assert row["sweep_value"] == (v if scan == "N" else even_size(v))
+            assert (row["crossing"], row["multiple"]) == (want.x, want.multiple)
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_single_sweep_equals_library(self, scan, tmp_path):
+        flags, sweep_list, library, single, kwargs = SCANS[scan]
+        code, text = run_cli(["crossover", *flags, *single, "--format", "json"], tmp_path)
+        assert code == 0
+        doc = json.loads(text)
+        want = library(float(sweep_list.split(",")[0]))
+        result = doc["manifest"]["result"]
+        assert (result["crossing"], result["crossing_multiple"]) == (want.x, want.multiple)
+        sw = sweep_lnF(scan, **kwargs)
+        assert doc["rows"] == [{scan: v, "minus_lnF": y, "slope": s} for v, y, s in
+                               zip(sw.values.tolist(), sw.minus_lnF.tolist(), sw.slopes.tolist())]
+
+    def test_size_sweep_list_with_repeated_rounded_sizes(self, tmp_path):
+        # --range 2:2e4:40 rounds several small sizes onto the same even N
+        flags = SCANS["N"][0]
+        assert len({even_size(n) for n in SIZE_GRID}) < SIZE_GRID.size
+        code, text = run_cli(["crossover", *flags, "--sweep-list", "1e-6,3e-6,1e-5"],
+                             tmp_path, "list")
+        assert code == 0
+        first = data_section(text).strip().splitlines()[1].split(",")
+        code, text = run_cli(["crossover", *flags, "--delta", "1e-6"], tmp_path, "single")
+        assert code == 0
+        manifest = json.loads(text.splitlines()[0].split("# manifest: ")[1])
+        assert float(first[1]) == manifest["result"]["crossing"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--scan", "N", "--c", "1", "--delta", "1e-6", "--range", "2:2e4:40"],  # no --alpha
+        ["--scan", "delta", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4:8"],  # no --alpha
+        ["--scan", "N", "--alpha", "1", "--c", "0.5", "--delta", "1e-6", "--range", "2:2e4:40"],
+        ["--scan", "delta", "--alpha", "1", "--c", "0.5", "--N", "2000",
+         "--range", "1e-9:1e-4:8"],
+        ["--scan", "delta", "--alpha", "1", "--c", "0.5", "--sweep-list", "1000,2000",
+         "--range", "1e-9:1e-4:8"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000"],  # no --range
+        ["--scan", "delta", "--alpha", "1", "--N", "2000", "--range", "1e-9:1e-4:8"],  # no --c
+        ["--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4:8"],  # no --scan
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--range", "1e-9:1e-4:8"],  # no --N
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2001", "--range", "1e-9:1e-4:8"],
+        ["--scan", "gamma", "--c", "-1", "--N", "2000", "--range", "1e-5:1:21"],  # no --delta
+        ["--scan", "gamma", "--c", "-1", "--sweep-list", "1000,2000", "--range", "1e-5:1:21"],
+        ["--scan", "gamma", "--c", "-1", "--delta", "3e-7", "--range", "1e-5:1:21"],  # no --N
+        ["--scan", "N", "--alpha", "1", "--c", "1", "--range", "2:2e4:40"],  # no --delta
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--sweep-list", "a,b",
+         "--range", "1e-9:1e-4:8"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-4:1e-9"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000",
+         "--range", "1e-9:1e-4:8", "--N-fixed", "2000"],  # removed flag
+        ["--scan", "N", "--alpha", "1", "--c", "1", "--delta", "1e-6",
+         "--range", "2:2e4:40", "--delta-fixed", "1e-6"],  # removed flag
+    ])
+    def test_invalid_crossover_configs_exit_2(self, argv):
+        assert cli.main(["crossover", *argv]) == 2
 
 
 class TestDeterminism:

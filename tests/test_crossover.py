@@ -7,12 +7,18 @@ import pytest
 
 from spinfid import (
     DomainError,
+    PathA,
     find_slope_crossing,
+    fidelity_product,
+    gamma_crossing,
     local_slopes,
     log_grid,
     powerlaw_fit,
+    resolve_path,
+    size_crossing,
+    sweep_lnF,
 )
-from spinfid.crossover import SlopeCurve
+from spinfid.crossover import SlopeCurve, even_size
 
 
 class TestLocalSlopes:
@@ -102,3 +108,37 @@ def test_log_grid_density():
     assert g[0] == pytest.approx(1e-4) and g[-1] == pytest.approx(1.0)
     with pytest.raises(DomainError):
         log_grid(1.0, 0.1)
+
+
+class TestSweepLnF:
+    def test_gamma_sweep_matches_direct_reduction(self):
+        # the slope curve runs in 1/gamma; values and slopes come back ascending in gamma
+        gammas = np.logspace(-5.0, 0.0, 21)
+        y = np.array([-fidelity_product(*resolve_path(PathA(g, 3e-7, -1.0)), 2000).lnF
+                      for g in gammas])
+        curve = local_slopes(1.0 / gammas[::-1], y[::-1])
+        sw = sweep_lnF("gamma", gammas[::-1], -1.0, N=2000, delta=3e-7)
+        assert np.array_equal(sw.values, gammas)
+        assert np.array_equal(sw.minus_lnF, y)
+        assert np.array_equal(sw.curve.x, curve.x)
+        assert np.array_equal(sw.slopes, curve.s[::-1])
+        want = math.exp(-find_slope_crossing(curve, 1.5).x)
+        assert sw.crossing(1.5).x == want
+        assert gamma_crossing(2000, 3e-7, -1.0, gammas).x == want
+
+    def test_size_sweep_rounds_and_dedupes(self):
+        sw = sweep_lnF("N", [7.0, 3.0, 2.2, 9.0, 12.9], 1.0, delta=1e-6)
+        assert sw.values.tolist() == [2, 4, 8, 12]
+        assert sw.slopes.shape == sw.minus_lnF.shape == (4,)
+
+    def test_size_crossing_repeated_rounded_sizes(self):
+        Ns = np.logspace(0.3, 4.3, 40)
+        evens = [even_size(n) for n in Ns]
+        assert len(set(evens)) < len(evens)
+        want = size_crossing(1e-6, 1.0, np.unique(evens))
+        assert size_crossing(1e-6, 1.0, Ns) == want
+        assert size_crossing(1e-6, 1.0, Ns[::-1]) == want
+
+    def test_unknown_scan(self):
+        with pytest.raises(DomainError):
+            sweep_lnF("g", [0.1, 0.2, 0.3], 1.0, N=100, delta=1e-3)
