@@ -35,7 +35,7 @@ from .crossover import (
     powerlaw_fit,
     sweep_lnF,
 )
-from .errors import ConfigError, NumericsError, SpinfidError
+from .errors import ConfigError, DomainError, NumericsError, SpinfidError
 from .fidelity import fidelity_product
 from .models import ExtIsingPath, PathA, PathB, PathC, PathD, PathSpec, resolve_path
 from .quench import excitation_density
@@ -59,6 +59,8 @@ _SCALING_FUNCS: dict[str, Callable[[float], float]] = {
 
 
 def _fmt(v: Any) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -98,13 +100,14 @@ def _parse_log_range(text: str, name: str, per_decade: int) -> np.ndarray:
     _require(len(parts) in (2, 3), f"{name} must be lo:hi or lo:hi:count, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2]) if len(parts) == 3 else 0
+        n = int(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
         raise ConfigError(f"bad {name} {text!r}: {exc}") from None
     _require(0.0 < lo < hi, f"{name} needs 0 < lo < hi")
-    if n >= 3:
-        return np.logspace(math.log10(lo), math.log10(hi), n)
-    return log_grid(lo, hi, per_decade)
+    if n is None:
+        return log_grid(lo, hi, per_decade)
+    _require(n >= 3, f"{name} needs count >= 3")
+    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
@@ -216,7 +219,11 @@ def _crossover_point(args: tuple[dict, float]) -> dict:
     """One crossing for one fixed value: N for gamma/delta scans, delta for N scans."""
     cfg, v = args
     key, v = ("delta", float(v)) if cfg["scan"] == "N" else ("N", even_size(v))
-    cr = _sweep(dict(cfg, **{key: v})).crossing(cfg["target"])
+    sw = _sweep(dict(cfg, **{key: v}))
+    try:
+        cr = sw.crossing(cfg["target"])
+    except DomainError:  # the slope never reaches the target: a result, not a bad config
+        return {"sweep_value": float(v), "crossing": None, "multiple": None}
     return {"sweep_value": float(v), "crossing": cr.x, "multiple": cr.multiple}
 
 
@@ -302,9 +309,9 @@ def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
     if sweep_list:
         vals = _parse_float_list(sweep_list, "--sweep-list")
         rows = _map_ordered(_crossover_point, [(cfg, v) for v in vals], cfg["parallelism"])
-        if len(rows) >= 3:
-            fit = powerlaw_fit([(r["sweep_value"], r["crossing"]) for r in rows])
-            extras["fit"] = asdict(fit)
+        points = [(r["sweep_value"], r["crossing"]) for r in rows if r["crossing"] is not None]
+        if len(points) >= 3:
+            extras["fit"] = asdict(powerlaw_fit(points))
         return rows, extras
 
     # single sweep: emit the slope curve itself
@@ -426,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "emits crossing per value plus a power-law fit")
     p.add_argument("--N", type=int)
     p.add_argument("--delta", type=float)
-    p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--c", type=float)
 

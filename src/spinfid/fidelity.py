@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -193,57 +193,69 @@ def _bisect_root(fn: Callable[[float], float], guess: float, tol: float = 1e-13)
     return 0.5 * (lo + hi)
 
 
+QUAD_BUDGET = 1e-11  # error budget of the quench and scaled A/B integrals (worst seen: 2e-13)
+
+
+def piecewise_quad(integrand: Callable[..., float], edges: Sequence[float], epsabs: float,
+                   budget: float, *, epsrel: float = 1e-12, limit: int = 200) -> float:
+    """Sum of adaptive Gauss-Kronrod (scipy quad) integrals over consecutive [a, b] edges.
+
+    integrand(x, a, b) also gets the ends of its piece (an edge may be np.inf).
+    Sums are exactly rounded; a nan piece, or a summed error estimate above
+    budget, raises NumericsError naming the pieces whose estimate exceeds epsabs.
+    """
+    pieces: list[tuple[float, float, float, float]] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(edges[:-1], edges[1:]):
+            val, err = quad(integrand, a, b, args=(a, b), epsabs=epsabs, epsrel=epsrel,
+                            limit=limit)
+            if math.isnan(val):
+                raise NumericsError(f"quadrature returned nan on [{a}, {b}]")
+            pieces.append((a, b, val, err))
+    est_err = math.fsum(err for _, _, _, err in pieces)
+    if est_err > budget:
+        bad = [(a, b, err) for a, b, _, err in pieces if err > epsabs]
+        raise NumericsError(f"quadrature error estimate {est_err:.3e} exceeds budget "
+                            f"{budget:.3e}; worst pieces: {bad[:5]}")
+    return math.fsum(val for _, _, val, _ in pieces)
+
+
+def k_integrand(p1: ModelParams, p2: ModelParams, of_log_f: Callable[[float], float]
+                ) -> tuple[Callable[..., float], list[float]]:
+    """Integrand k -> of_log_f(ln|f_k|) for piecewise_quad, and its edges 0, breakpoints, pi.
+
+    A node within rounding distance of a kernel zero can see ln|f_k| round to
+    -inf; it is nudged 1e-14 off its piece's nearer inner end (every breakpoint
+    is one), which moves the integral by < 1e-14 in measure.  A non-finite
+    value raises NumericsError.
+    """
+    kernel = _log_kernel(p1, p2)
+
+    def integrand(k: float, lo: float, hi: float) -> float:
+        a = lo if k - lo <= hi - k else hi
+        if abs(k - a) < 1e-14 and 0.0 < a < math.pi:
+            k = a + 1e-14 if k >= a else a - 1e-14
+        val = of_log_f(float(kernel(np.array([k]))[0]))
+        if not math.isfinite(val):
+            raise NumericsError(f"integrand is singular at an unbracketed point k = {k!r}")
+        return val
+
+    return integrand, [0.0] + integration_breakpoints(p1, p2) + [math.pi]
+
+
 def fidelity_integral(p1: ModelParams, p2: ModelParams, tol: float = 1e-11) -> float:
     """Thermodynamic-limit ln F per site, (1/2 pi) int_0^pi ln|f_k| dk.
 
-    Adaptive Gauss-Kronrod quadrature on each subinterval between the
-    mandatory breakpoints; the summed error estimate must come in under the
-    absolute tolerance or a NumericsError with per-interval diagnostics is
-    raised.
+    Piecewise quadrature between the mandatory breakpoints; a summed error
+    estimate above tol raises NumericsError with per-piece diagnostics.
     """
     if p1 == p2:
         return 0.0
-    kernel = _log_kernel(p1, p2)
-    anchors = np.asarray(integration_breakpoints(p1, p2))
-
-    def integrand(k: float) -> float:
-        # a node landing within rounding distance of a kernel zero can see the
-        # cancellation round to an exact zero (ln -> -inf); nudge it off the
-        # anchor instead, which perturbs the integral by < 1e-14 in measure
-        if anchors.size:
-            i = int(np.searchsorted(anchors, k))
-            cands = [j for j in (i - 1, i) if 0 <= j < anchors.size]
-            if cands:
-                j = min(cands, key=lambda jj: abs(k - anchors[jj]))
-                a = float(anchors[j])
-                if abs(k - a) < 1e-14:
-                    k = a + 1e-14 if k >= a else a - 1e-14
-        val = float(kernel(np.array([k]))[0])
-        if not math.isfinite(val):
-            raise NumericsError(f"ln|f_k| is singular at an unbracketed point k = {k!r}")
-        return val
-
-    brk = [0.0] + list(anchors) + [math.pi]
-    eps_each = max(2.0 * math.pi * tol / len(brk), 1e-15)
-    total: list[float] = []
-    errors: list[float] = []
-    bad: list[tuple[float, float, float]] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(brk[:-1], brk[1:]):
-            val, err = quad(integrand, a, b, epsabs=eps_each, epsrel=1e-12, limit=200)
-            if math.isnan(val):
-                raise NumericsError(f"quadrature returned nan on [{a}, {b}]")
-            total.append(val)
-            errors.append(err)
-            if err > eps_each:
-                bad.append((a, b, err))
-    est_err = math.fsum(errors) / (2.0 * math.pi)
-    if est_err > tol:
-        raise NumericsError(
-            f"ln|f_k| quadrature error estimate {est_err:.3e} exceeds tol {tol:.3e}; "
-            f"worst subintervals: {bad[:5]}")
-    return math.fsum(total) / (2.0 * math.pi)
+    integrand, edges = k_integrand(p1, p2, lambda lnf: lnf)
+    budget = 2.0 * math.pi * tol
+    eps_each = max(budget / len(edges), 1e-15)
+    return piecewise_quad(integrand, edges, eps_each, budget) / (2.0 * math.pi)
 
 
 def _log_pow_sum(x: float, N: int) -> float:

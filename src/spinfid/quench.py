@@ -8,21 +8,20 @@ probability p_k^ex = 1 - f_k^2, giving the quasiparticle density
     n_ex = (1/pi) int_0^pi (1 - f_k^2) dk  ~  (2/N) sum_{k>0} (1 - f_k^2)
 
 which for a small jump across the Ising line scales as |delta| B(c) with the
-scaling function B from the scaling module.
+scaling function B from the scaling module.  The k-integral shares the
+breakpoints and quadrature of fidelity_integral and is gated by its error estimate.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError
-from .fidelity import fidelity_product, integration_breakpoints
+from .fidelity import QUAD_BUDGET, fidelity_product, k_integrand, piecewise_quad
 from .models import ModelParams, MomentumGrid, PathA, log_abs_fk_xy, resolve_path
 
 
@@ -71,17 +70,8 @@ def excitation_density(gamma: float, delta: float, c: float, N: int,
 
     n_int = None
     if with_integral:
-        def integrand(k: float) -> float:
-            return -math.expm1(2.0 * float(log_abs_fk_xy(np.array([k]), p1, p2)[0]))
-
-        brk = [0.0] + integration_breakpoints(p1, p2) + [math.pi]
-        pieces = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for a, b in zip(brk[:-1], brk[1:]):
-                val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-                pieces.append(val)
-        n_int = math.fsum(pieces) / math.pi
+        integrand, edges = k_integrand(p1, p2, lambda lnf: -math.expm1(2.0 * lnf))
+        n_int = piecewise_quad(integrand, edges, 1e-13, QUAD_BUDGET) / math.pi
 
     surv = fidelity_product(p1, p2, grid.N).F ** 2
     return QuenchResult(n_ex=n_ex, survival=surv, n_ex_integral=n_int, per_mode_pex=per)

@@ -12,21 +12,19 @@ A and B are piecewise combinations of complete elliptic integrals with
 arguments c1 = -4|c|/(|c|-1)^2 and c2 = ((|c|+1)/(|c|-1))^2; both stay
 continuous across |c| = 1, where c1, c2 blow up and the closed form is
 replaced by direct quadrature of the underlying scaled integral.  The
-quadrature forms are exposed as *_quadrature so the elliptic assembly can be
-checked against an independent route.
+quadrature forms (gated by their error estimate) are exposed as *_quadrature
+so the elliptic assembly can be checked against an independent route.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, PoleError
-from .fidelity import oscillation_factor
+from .fidelity import QUAD_BUDGET, oscillation_factor, piecewise_quad
 from .models import (
     ExtIsingPath,
     MomentumGrid,
@@ -80,12 +78,11 @@ def _scaled_pex_kernel(l: float, a: float) -> float:
 
 
 def _improper_quad(fn, a: float) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        body, _ = quad(fn, 0.0, 8.0, args=(a,), epsabs=1e-13, epsrel=1e-13,
-                       limit=400, points=[min(1.0, abs(1.0 - a * a)) if a < 1.0 else 1.0])
-        tail, _ = quad(fn, 8.0, np.inf, args=(a,), epsabs=1e-13, epsrel=1e-13, limit=400)
-    return body + tail
+    # the kernels turn over at l ~ s/2 and l ~ sqrt(s), s = |1 - c^2|
+    s = abs(1.0 - a * a)
+    inner = [s / 2.0, math.sqrt(s)] if 0.0 < s < 1.0 else []
+    return piecewise_quad(lambda l, lo, hi: fn(l, a), [0.0, *inner, 1.0, 8.0, np.inf],
+                          1e-13, QUAD_BUDGET, epsrel=1e-13, limit=400)
 
 
 def scaling_A_quadrature(c: float) -> float:

@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from spinfid import NumericsError, gamma_crossing, shift_crossing, size_crossing, sweep_lnF
+import spinfid.fidelity
+from spinfid import (
+    DomainError,
+    NumericsError,
+    gamma_crossing,
+    shift_crossing,
+    size_crossing,
+    sweep_lnF,
+)
 from spinfid import cli
 from spinfid.crossover import even_size
 
@@ -157,6 +165,26 @@ class TestCrossoverMatchesLibrary:
         manifest = json.loads(text.splitlines()[0].split("# manifest: ")[1])
         assert float(first[1]) == manifest["result"]["crossing"]
 
+    def test_sweep_list_value_without_crossing_is_a_null_row(self, tmp_path):
+        flags = ["--scan", "gamma", "--delta", "1e-6", "--c", "-1", "--range", "1e-3:1:20"]
+        code, text = run_cli(["crossover", *flags, "--sweep-list", "1000,1999,3000",
+                              "--format", "json"], tmp_path)
+        assert code == 0
+        doc = json.loads(text)
+        grid = log_range(1e-3, 1.0, 20)
+        nulls = 0
+        for v, row in zip((1000, 1999, 3000), doc["rows"]):
+            assert row["sweep_value"] == even_size(v)
+            try:
+                want = gamma_crossing(even_size(v), 1e-6, -1.0, grid)
+            except DomainError:
+                assert (row["crossing"], row["multiple"]) == (None, None)
+                nulls += 1
+            else:
+                assert (row["crossing"], row["multiple"]) == (want.x, want.multiple)
+        assert 0 < nulls < 3
+        assert "fit" not in doc["manifest"]["result"]  # fewer than 3 crossings
+
     @pytest.mark.parametrize("argv", [
         ["--scan", "N", "--c", "1", "--delta", "1e-6", "--range", "2:2e4:40"],  # no --alpha
         ["--scan", "delta", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4:8"],  # no --alpha
@@ -181,6 +209,9 @@ class TestCrossoverMatchesLibrary:
          "--range", "1e-9:1e-4:8", "--N-fixed", "2000"],  # removed flag
         ["--scan", "N", "--alpha", "1", "--c", "1", "--delta", "1e-6",
          "--range", "2:2e4:40", "--delta-fixed", "1e-6"],  # removed flag
+        ["--scan", "gamma", "--c", "-1", "--N", "2000", "--delta", "3e-7",
+         "--range", "1e-5:1:21", "--gamma", "0.5"],  # removed flag
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4:2"],
     ])
     def test_invalid_crossover_configs_exit_2(self, argv):
         assert cli.main(["crossover", *argv]) == 2
@@ -237,6 +268,11 @@ class TestExitCodes:
         code = cli.main(["verify", "--which", "pathA", "--gamma", "1", "--delta", "1e-3",
                          "--c-range", "0:1:2"])
         assert code == 3
+
+    def test_quench_integral_over_budget_is_3(self, monkeypatch):
+        monkeypatch.setattr(spinfid.fidelity, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        assert cli.main(["quench", "--gamma", "1", "--delta", "1e-3", "--N", "100",
+                         "--c", "0.5"]) == 3
 
     def test_io_failure_is_4(self):
         code = cli.main(["scaling", "--function", "A", "--c-range", "0:1:3",

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinfid.fidelity
 from spinfid import (
     DegenerateModeError,
     DomainError,
     ExtIsingParams,
     ExtIsingPath,
+    NumericsError,
     PathA,
     PathB,
     XYParams,
+    excitation_density,
     fidelity_integral,
     fidelity_mps_closed,
     fidelity_product,
@@ -23,6 +26,8 @@ from spinfid import (
     predict_lnF,
     resolve_path,
     scaling_A,
+    scaling_A_quadrature,
+    scaling_B_quadrature,
 )
 
 from conftest import even
@@ -167,6 +172,18 @@ class TestIntegral:
             rhs = fidelity_integral(p1, p2) + shift
             assert abs(lhs - rhs) <= 10.0 * delta ** 2 + 1e-12, (spec, N)
             checked += 1
+
+    @pytest.mark.parametrize("integral", [
+        lambda: fidelity_integral(*resolve_path(PathA(1.0, 1e-3, 0.5))),
+        lambda: excitation_density(1.0, 1e-3, 0.5, 100, with_integral=True),
+        lambda: scaling_A_quadrature(0.5),
+        lambda: scaling_B_quadrature(0.5),
+    ], ids=["fidelity_integral", "excitation_density", "scaling_A_quadrature",
+            "scaling_B_quadrature"])
+    def test_error_estimate_over_budget_raises(self, integral, monkeypatch):
+        monkeypatch.setattr(spinfid.fidelity, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        with pytest.raises(NumericsError, match="error estimate"):
+            integral()
 
 
 def _smooth_rate(spec):

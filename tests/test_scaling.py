@@ -57,6 +57,44 @@ class TestScalingA:
             assert scaling_A(c) > 0.0
 
 
+# 40-digit references of the defining integrals, computed once with mpmath 1.3.0
+# (not a dependency of the package) by running, in Python:
+#   from mpmath import mp, mpf, sqrt, log, log1p, quad, inf, pi
+#   mp.dps = 40
+#   def ref(c):  # the cancellation-free kernels of scaling, split at s/2, sqrt(s), 1, 8
+#       a = abs(mpf(c)); s = abs(1 - a * a)
+#       def xr(l):
+#           x = l * l + a * a - 1
+#           return x, sqrt(x * x + 4 * l * l)
+#       def lk(l):
+#           x, r = xr(l)
+#           return log1p(-2*l*l / (r*(r+x))) if x > 0 else log(2*l*l) - log(r*(r-x))
+#       def pk(l):
+#           x, r = xr(l)
+#           return 2*l*l / (r*(r+x)) if x > 0 else (r-x) / (2*r)
+#       edges = [0, s / 2, sqrt(s), 1, 8, inf]
+#       return -quad(lk, edges) / (4 * pi), quad(pk, edges) / pi
+#   for c in (1 - 9e-10, 1 - 5e-10, 1 - 1e-10, 1 + 1e-10, 1 + 5e-10, 1 + 9e-10):
+#       print(c, *(mp.nstr(v, 20) for v in ref(c)))
+# mp.dps = 60 prints the same digits.
+UNIT_WINDOW_REFERENCES = [
+    (1.0 - 9e-10, 0.090845058620393830516, 0.31830988932189011962),
+    (1.0 - 5e-10, 0.090845057882763826047, 0.31830988797395403937),
+    (1.0 - 1e-10, 0.090845057115843997642, 0.31830988656743834713),
+    (1.0 + 1e-10, 0.090845056725365332878, 0.31830988580014299597),
+    (1.0 + 5e-10, 0.090845056058445512509, 0.31830988439362730413),
+    (1.0 + 9e-10, 0.090845055420815313386, 0.31830988304569085533),
+]
+
+
+@pytest.mark.parametrize("c, A, B", UNIT_WINDOW_REFERENCES)
+def test_unit_window_quadrature_matches_high_precision(c, A, B):
+    # inside |1 - |c|| < 1e-9 both functions come from quadrature alone
+    for sign in (1.0, -1.0):
+        assert abs(scaling_A(sign * c) - A) < 1e-14
+        assert abs(scaling_B(sign * c) - B) < 1e-14
+
+
 class TestScalingB:
     def test_exact_half_at_zero(self):
         assert scaling_B(0.0) == 0.5
