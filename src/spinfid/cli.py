@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from multiprocessing import Pool, cpu_count
 from typing import Any, Callable, Optional
@@ -119,48 +119,34 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     return vals
 
 
-def _even_int(x: Any, name: str) -> int:
+def _even_int(text: str) -> int:
+    """argparse type of --N: an even integer >= 2."""
     try:
-        n = int(x)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {x!r}") from None
-    _require(n >= 2 and n % 2 == 0, f"{name} must be even and >= 2, got {n}")
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2 or n % 2:
+        raise argparse.ArgumentTypeError(f"must be an even integer >= 2, got {text!r}")
     return n
 
 
+_PATHS: dict[str, type] = {"A": PathA, "B": PathB, "C": PathC, "D": PathD, "ext": ExtIsingPath}
+
+
 def build_path_spec(cfg: dict) -> PathSpec:
-    """Construct the path from the resolved configuration (validates flags)."""
-    path = cfg.get("path")
-    _require(path in ("A", "B", "C", "D", "ext"), f"unknown --path {path!r}")
-    delta = cfg.get("delta")
-    c = cfg.get("c")
-    _require(delta is not None, "--delta is required")
-    _require(c is not None, "--c is required")
-    try:
-        if path == "A":
-            _require(cfg.get("gamma") is not None, "path A needs --gamma")
-            return PathA(gamma=float(cfg["gamma"]), delta=float(delta), c=float(c))
-        if path == "B":
-            _require(cfg.get("g") is not None, "path B needs --g")
-            return PathB(g=float(cfg["g"]), delta=float(delta), c=float(c))
-        if path == "C":
-            return PathC(delta=float(delta), c=float(c))
-        if path == "D":
-            _require(cfg.get("alpha") is not None, "path D needs --alpha")
-            return PathD(alpha=float(cfg["alpha"]), delta=float(delta), c=float(c))
-        return ExtIsingPath(delta=float(delta), c=float(c))
-    except SpinfidError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """Construct the --path spec; its required flags are the dataclass fields."""
+    cls = _PATHS[cfg["path"]]
+    names = [f.name for f in fields(cls)]
+    missing = ", ".join(f"--{n}" for n in names if cfg[n] is None)
+    _require(not missing, f"path {cfg['path']} needs {missing}")
+    return cls(**{n: cfg[n] for n in names})
 
 
 # ---------------------------------------------------------------------------
 # row workers (module level so a fork-based pool can pickle them)
 
-def _fidelity_row(args: tuple[dict, int]) -> dict:
-    cfg, N = args
-    spec = build_path_spec(cfg)
+def _fidelity_row(args: tuple[PathSpec, int]) -> dict:
+    spec, N = args
     p1, p2 = resolve_path(spec)
     res = fidelity_product(p1, p2, N)
     pred = predict_lnF(spec, N)
@@ -185,13 +171,13 @@ def _scaling_row(args: tuple[str, float]) -> dict:
 
 def _quench_row(args: tuple[dict, float]) -> dict:
     cfg, c = args
-    res = excitation_density(float(cfg["gamma"]), float(cfg["delta"]), c,
-                             int(cfg["N"]), with_integral=not cfg.get("no_integral", False))
+    res = excitation_density(cfg["gamma"], cfg["delta"], c, cfg["N"],
+                             with_integral=not cfg["no_integral"])
     row = {
         "c": c,
         "n_ex": res.n_ex,
         "n_ex_integral": res.n_ex_integral if res.n_ex_integral is not None else float("nan"),
-        "nex_over_delta": res.n_ex / abs(float(cfg["delta"])),
+        "nex_over_delta": res.n_ex / abs(cfg["delta"]),
         "B_c": scaling_B(c),
         "survival": res.survival,
     }
@@ -201,24 +187,22 @@ def _quench_row(args: tuple[dict, float]) -> dict:
 def _verify_row(args: tuple[dict, float]) -> dict:
     cfg, c = args
     if cfg["which"] == "pathA":
-        s = residual_pathA(float(cfg["gamma"]), float(cfg["delta"]), c)
+        s = residual_pathA(cfg["gamma"], cfg["delta"], c)
         return {"gamma": s.gamma, "delta": s.delta, "c": s.c, "E": s.E,
                 "normalized": s.normalized}
-    s = residual_pathB(float(cfg["g"]), float(cfg["delta"]), c)
+    s = residual_pathB(cfg["g"], cfg["delta"], c)
     return {"g": s.g, "delta": s.delta, "c": s.c, "E": s.E, "normalized": s.normalized}
 
 
 def _sweep(cfg: dict) -> LnFSweep:
-    scan = cfg["scan"]
-    return sweep_lnF(scan, cfg["_grid"], float(cfg["c"]), N=cfg.get("N"),
-                     delta=None if scan == "delta" else float(cfg["delta"]),
-                     alpha=1.0 if scan == "gamma" else float(cfg["alpha"]))
+    return sweep_lnF(cfg["scan"], cfg["_grid"], cfg["c"], N=cfg["N"], delta=cfg["delta"],
+                     alpha=cfg["alpha"])
 
 
 def _crossover_point(args: tuple[dict, float]) -> dict:
     """One crossing for one fixed value: N for gamma/delta scans, delta for N scans."""
     cfg, v = args
-    key, v = ("delta", float(v)) if cfg["scan"] == "N" else ("N", even_size(v))
+    key, v = ("delta", v) if cfg["scan"] == "N" else ("N", even_size(v))
     sw = _sweep(dict(cfg, **{key: v}))
     try:
         cr = sw.crossing(cfg["target"])
@@ -240,72 +224,56 @@ def _map_ordered(fn: Callable, tasks: list, parallelism: int) -> list:
 # commands
 
 def _cmd_fidelity(cfg: dict) -> tuple[list[dict], dict]:
-    N = _even_int(cfg.get("N"), "--N")
-    rows = [_fidelity_row((cfg, N))]
-    return rows, {}
+    return [_fidelity_row((build_path_spec(cfg), cfg["N"]))], {}
 
 
 def _cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
-    _require(cfg.get("N_range") is not None, "sweep needs --N-range start:stop:step")
     Ns = [n for n in _parse_step_range(cfg["N_range"], "--N-range") if n % 2 == 0]
     _require(len(Ns) >= 1, "--N-range contains no even sizes")
-    build_path_spec(cfg)  # validate once before dispatch
-    rows = _map_ordered(_fidelity_row, [(cfg, n) for n in Ns], cfg["parallelism"])
+    spec = build_path_spec(cfg)
+    rows = _map_ordered(_fidelity_row, [(spec, n) for n in Ns], cfg["parallelism"])
     return rows, {}
 
 
 def _cmd_scaling(cfg: dict) -> tuple[list[dict], dict]:
-    fname = cfg.get("function")
-    _require(fname in _SCALING_FUNCS, f"--function must be one of {sorted(_SCALING_FUNCS)}")
-    _require(cfg.get("c_range") is not None, "scaling needs --c-range start:stop:count")
     cs = _parse_count_range(cfg["c_range"], "--c-range")
-    rows = _map_ordered(_scaling_row, [(fname, float(c)) for c in cs], cfg["parallelism"])
+    rows = _map_ordered(_scaling_row, [(cfg["function"], float(c)) for c in cs],
+                        cfg["parallelism"])
     return rows, {}
 
 
 def _cmd_quench(cfg: dict) -> tuple[list[dict], dict]:
-    for key in ("gamma", "delta", "N"):
-        _require(cfg.get(key) is not None, f"quench needs --{key}")
-    _even_int(cfg["N"], "--N")
-    if cfg.get("c_range"):
+    if cfg["c_range"]:
         cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
     else:
-        _require(cfg.get("c") is not None, "quench needs --c or --c-range")
-        cs = [float(cfg["c"])]
+        _require(cfg["c"] is not None, "quench needs --c or --c-range")
+        cs = [cfg["c"]]
     rows = _map_ordered(_quench_row, [(cfg, c) for c in cs], cfg["parallelism"])
     return rows, {}
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
-    which = cfg.get("which")
-    _require(which in ("pathA", "pathB"), "--which must be pathA or pathB")
-    _require(cfg.get("delta") is not None, "verify needs --delta")
-    if which == "pathA":
-        _require(cfg.get("gamma") is not None, "verify pathA needs --gamma")
-    else:
-        _require(cfg.get("g") is not None, "verify pathB needs --g")
-    _require(cfg.get("c_range") is not None, "verify needs --c-range start:stop:count")
+    key = "gamma" if cfg["which"] == "pathA" else "g"
+    _require(cfg[key] is not None, f"verify {cfg['which']} needs --{key}")
     cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
     rows = _map_ordered(_verify_row, [(cfg, c) for c in cs], cfg["parallelism"])
     return rows, {}
 
 
 def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
-    scan = cfg.get("scan")
-    _require(scan in ("gamma", "N", "delta"), "--scan must be gamma, N, or delta")
-    _require(cfg.get("range") is not None, "crossover needs --range lo:hi[:count]")
-    per_dec = int(cfg.get("per_decade") or 20)
+    scan = cfg["scan"]
+    per_dec = 20 if cfg["per_decade"] is None else cfg["per_decade"]
+    _require(per_dec >= 1, f"--per-decade must be >= 1, got {per_dec}")
     grid = _parse_log_range(cfg["range"], "--range", per_dec)
-    _require(cfg.get("c") is not None, "crossover needs --c")
-    target = float(cfg["target"] if cfg.get("target") is not None else DEFAULT_TARGETS[scan])
+    target = DEFAULT_TARGETS[scan] if cfg["target"] is None else cfg["target"]
     cfg = dict(cfg, target=target, _grid=[float(v) for v in grid])
     if scan in ("N", "delta"):
-        _require(cfg.get("alpha") is not None, f"--scan {scan} needs --alpha")
+        _require(cfg["alpha"] is not None, f"--scan {scan} needs --alpha")
     extras: dict = {"target": target}
 
-    sweep_list = cfg.get("sweep_list")
+    sweep_list = cfg["sweep_list"]
     if scan == "gamma" or (scan == "N" and not sweep_list):  # N scans over a list sweep delta
-        _require(cfg.get("delta") is not None, f"--scan {scan} needs --delta")
+        _require(cfg["delta"] is not None, f"--scan {scan} needs --delta")
     if sweep_list:
         vals = _parse_float_list(sweep_list, "--sweep-list")
         rows = _map_ordered(_crossover_point, [(cfg, v) for v in vals], cfg["parallelism"])
@@ -315,8 +283,7 @@ def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
         return rows, extras
 
     # single sweep: emit the slope curve itself
-    if scan != "N":
-        cfg["N"] = _even_int(cfg.get("N"), "--N")
+    _require(scan == "N" or cfg["N"] is not None, f"--scan {scan} needs --N")
     sw = _sweep(cfg)
     rows = [{scan: v.item(), "minus_lnF": float(y), "slope": float(s)}
             for v, y, s in zip(sw.values, sw.minus_lnF, sw.slopes)]
@@ -361,20 +328,14 @@ def _emit_json(rows: list[dict], config: dict, manifest: dict) -> str:
 
 def _public_config(cfg: dict) -> dict:
     return {k: v for k, v in sorted(cfg.items())
-            if not k.startswith("_") and v is not None and k not in ("output", "config")}
+            if not k.startswith("_") and v is not None and k != "output"}
 
 
 def run(cfg: dict) -> tuple[str, int]:
-    """Execute one resolved configuration; returns (artifact text, exit code)."""
-    command = cfg.get("command")
-    _require(command in _COMMANDS, f"unknown command {command!r}")
-    par = cfg.get("parallelism")
-    par = 1 if par is None else int(par)
-    _require(par >= 0, "--parallelism must be >= 0")
-    cfg = dict(cfg)
-    cfg["parallelism"] = par
+    """Execute one parsed configuration; returns (artifact text, exit code)."""
+    _require(cfg["parallelism"] >= 0, "--parallelism must be >= 0")
     t0 = time.perf_counter()
-    rows, extras = _COMMANDS[command](cfg)
+    rows, extras = _COMMANDS[cfg["command"]](cfg)
     wall = time.perf_counter() - t0
     manifest = {
         "tool": "spinfid",
@@ -385,96 +346,117 @@ def run(cfg: dict) -> tuple[str, int]:
     if extras:
         manifest["result"] = extras
     config = _public_config(cfg)
-    text = (_emit_json if cfg.get("format") == "json" else _emit_csv)(rows, config, manifest)
+    text = (_emit_json if cfg["format"] == "json" else _emit_csv)(rows, config, manifest)
     return text, 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by name, the subcommand parsers."""
     ap = argparse.ArgumentParser(prog="spinfid",
                                  description="Ground-state fidelity of free-fermion spin chains")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", help="output file (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--parallelism", type=int, default=None,
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--config", help="JSON object of flag values keyed by flag dest "
+                                        "(c_range for --c-range), typed and checked like "
+                                        "flags; explicit flags win")
+        p.add_argument("--parallelism", type=int, default=1,
                        help="worker processes for grid points (0 = auto, default 1)")
 
     def path_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--path", choices=["A", "B", "C", "D", "ext"])
+        p.add_argument("--path", choices=list(_PATHS), required=True)
         p.add_argument("--gamma", type=float)
         p.add_argument("--g", type=float)
         p.add_argument("--alpha", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--c", type=float)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--c", type=float, required=True)
 
     p = sub.add_parser("fidelity", help="exact fidelity and prediction at one size")
     common(p); path_flags(p)
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_even_int, required=True)
 
     p = sub.add_parser("sweep", help="exact vs predicted fidelity over a size range")
     common(p); path_flags(p)
-    p.add_argument("--N-range", dest="N_range", help="start:stop:step (even sizes kept)")
+    p.add_argument("--N-range", required=True, help="start:stop:step (even sizes kept)")
 
     p = sub.add_parser("scaling", help="tabulate a scaling function")
     common(p)
-    p.add_argument("--function", choices=sorted(_SCALING_FUNCS))
-    p.add_argument("--c-range", dest="c_range", help="start:stop:count")
+    p.add_argument("--function", choices=sorted(_SCALING_FUNCS), required=True)
+    p.add_argument("--c-range", required=True, help="start:stop:count")
 
     p = sub.add_parser("crossover", help="slope curves and crossover scales")
     common(p)
-    p.add_argument("--scan", choices=["gamma", "N", "delta"])
-    p.add_argument("--range", help="lo:hi[:count] log grid for the scanned variable")
-    p.add_argument("--per-decade", dest="per_decade", type=int)
+    p.add_argument("--scan", choices=["gamma", "N", "delta"], required=True)
+    p.add_argument("--range", required=True,
+                   help="lo:hi[:count] log grid for the scanned variable")
+    p.add_argument("--per-decade", type=int)
     p.add_argument("--target", type=float)
-    p.add_argument("--sweep-list", dest="sweep_list",
+    p.add_argument("--sweep-list",
                    help="comma list of fixed values (N for gamma/delta scans, delta for N scans); "
                         "emits crossing per value plus a power-law fit")
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_even_int)
     p.add_argument("--delta", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float)
+    p.add_argument("--c", type=float, required=True)
 
     p = sub.add_parser("quench", help="excitation density after a sudden shift")
     common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
     p.add_argument("--c", type=float)
-    p.add_argument("--c-range", dest="c_range")
-    p.add_argument("--N", type=int)
-    p.add_argument("--no-integral", dest="no_integral", action="store_true", default=None)
+    p.add_argument("--c-range")
+    p.add_argument("--N", type=_even_int, required=True)
+    p.add_argument("--no-integral", action="store_true", default=None)
 
     p = sub.add_parser("verify", help="residuals of the closed-form rates")
     common(p)
-    p.add_argument("--which", choices=["pathA", "pathB"])
+    p.add_argument("--which", choices=["pathA", "pathB"], required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--g", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--c-range", dest="c_range")
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--c-range", required=True)
 
-    return ap
+    return ap, sub.choices
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        cfg.update(loaded)
-    for k, v in vars(args).items():
-        if v is not None:
-            cfg[k] = v
-    cfg.setdefault("format", "csv")
-    cfg["command"] = args.command
-    return cfg
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """`argv` with its --config JSON object expanded into flags ahead of the explicit ones.
+
+    A key is a flag's dest; true gives the bare flag, false and null drop the
+    key, and a `command` key must name the subcommand `argv[0]`.
+    """
+    # without abbreviations, so that --c is not read as --config
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv[1:])
+    if known.config is None:
+        return argv
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        parser.error(f"cannot read config file: {exc}")
+    except json.JSONDecodeError as exc:
+        parser.error(f"config file is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error("config file must hold a JSON object")
+    if loaded.pop("command", argv[0]) != argv[0]:
+        parser.error(f"config file is for another command, not {argv[0]!r}")
+    flags = {a.dest: a.option_strings[0] for a in parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    expanded = []
+    for key, value in loaded.items():
+        if key not in flags:
+            parser.error(f"config file: unknown key {key!r}")
+        if isinstance(value, (list, dict)):
+            parser.error(f"config file: {key!r} must be a string, number or boolean")
+        if value is True:
+            expanded.append(flags[key])
+        elif value is not False and value is not None:
+            expanded.append(f"{flags[key]}={value}")
+    return argv[:1] + expanded + rest
 
 
 _VALUE_FLAGS = {"--c-range", "--range", "--sweep-list", "--c", "--delta", "--g", "--gamma",
@@ -497,15 +479,17 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    ap, parsers = _build_parser()
+    argv = _preprocess_argv(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = ap.parse_args(_preprocess_argv(list(argv)))
+        if argv and argv[0] in parsers:
+            argv = _with_config(parsers[argv[0]], argv)
+        cfg = vars(ap.parse_args(argv))
+        if cfg["config"] is not None:  # an abbreviation the pre-scan did not see
+            parsers[cfg["command"]].error("write --config in full")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
         text, code = run(cfg)
     except ConfigError as exc:
         print(f"spinfid: invalid configuration: {exc}", file=sys.stderr)
@@ -516,7 +500,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpinfidError as exc:
         print(f"spinfid: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    out = cfg.get("output")
+    out = cfg["output"]
     try:
         if out:
             with open(out, "w", encoding="utf-8") as fh:

@@ -169,18 +169,17 @@ def gap_extising(k, p: ExtIsingParams):
     return out if out.ndim else float(out)
 
 
-def _gap_terms(k: np.ndarray, g: float) -> np.ndarray:
-    # g - cos k, switching to (g - 1) + 2 sin^2(k/2) on the cos k > 1/2 side
-    # where the direct difference loses absolute accuracy for g near 1
-    ck = np.cos(k)
-    s2 = np.sin(0.5 * k) ** 2
+def _gap_terms(ck: np.ndarray, s2: np.ndarray, g: float) -> np.ndarray:
+    # g - cos k from cos k and sin^2(k/2), switching to (g - 1) + 2 sin^2(k/2) on the
+    # cos k > 1/2 side where the direct difference loses absolute accuracy for g near 1
     return np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck)
 
 
 def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams) -> tuple[np.ndarray, np.ndarray]:
-    sk = np.sin(k)
-    a1 = _gap_terms(k, p1.g)
-    a2 = _gap_terms(k, p2.g)
+    ck, sk = np.cos(k), np.sin(k)
+    s2 = np.sin(0.5 * k) ** 2
+    a1 = _gap_terms(ck, s2, p1.g)
+    a2 = _gap_terms(ck, s2, p2.g)
     p = a1 * a2 + p1.gamma * p2.gamma * sk * sk
     q = (p2.gamma * a1 - p1.gamma * a2) * sk
     return p, q

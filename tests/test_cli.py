@@ -212,6 +212,10 @@ class TestCrossoverMatchesLibrary:
         ["--scan", "gamma", "--c", "-1", "--N", "2000", "--delta", "3e-7",
          "--range", "1e-5:1:21", "--gamma", "0.5"],  # removed flag
         ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4:2"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4",
+         "--per-decade", "0"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4",
+         "--per-decade", "-5"],
     ])
     def test_invalid_crossover_configs_exit_2(self, argv):
         assert cli.main(["crossover", *argv]) == 2
@@ -250,6 +254,77 @@ class TestDeterminism:
         second = json.loads((tmp_path / "second.txt").read_text())
         assert second["rows"] == doc["rows"]
         assert second["config"] == doc["config"]
+
+
+# one invocation per subcommand, replayed from its JSON config
+REPLAYS = [
+    ["fidelity", "--path", "D", "--alpha", "2", "--delta", "1e-4", "--c", "1.5", "--N", "5000"],
+    ["sweep", "--path", "B", "--g", "0.99", "--delta", "0.002", "--c", "0",  # a 0 stays a value
+     "--N-range", "2000:2006:2"],
+    ["scaling", "--function", "A", "--c-range", "-3:3:7"],
+    ["crossover", *SCANS["N"][0], "--sweep-list", "1e-6,3e-6,1e-5"],
+    ["quench", "--gamma", "1", "--delta", "1e-3", "--N", "2000", "--c-range", "0:1:3",
+     "--no-integral"],
+    ["verify", "--which", "pathA", "--gamma", "1", "--delta", "1e-3", "--c-range", "0:1:2"],
+]
+
+QUENCH = ["quench", "--gamma", "1", "--N", "100", "--c", "0.5"]
+SCALING = ["scaling", "--function", "A", "--c-range", "0:1:3"]
+CROSSOVER = ["crossover", "--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000",
+             "--range", "1e-9:1e-4:8"]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("argv", REPLAYS, ids=lambda argv: argv[0])
+    def test_replay_gives_same_rows_and_config(self, argv, tmp_path):
+        _, first = run_cli(argv + ["--format", "json"], tmp_path, "first")
+        doc = json.loads(first)
+        cfg_file = tmp_path / "replay.json"
+        cfg_file.write_text(json.dumps(doc["config"]))
+        code, second = run_cli([argv[0], "--config", str(cfg_file)], tmp_path, "second")
+        assert code == 0
+        replay = json.loads(second)
+        assert json.dumps(replay["rows"]) == json.dumps(doc["rows"])  # NaN-safe comparison
+        assert replay["config"] == doc["config"]
+        assert replay["manifest"].get("result") == doc["manifest"].get("result")
+
+    @pytest.mark.parametrize("argv, config", [
+        (QUENCH, {"delta": "abc"}),
+        (["verify", "--which", "pathA", "--gamma", "1", "--c-range", "0:1:2"], {"delta": "abc"}),
+        (["crossover", "--scan", "gamma", "--c", "-1", "--N", "2000", "--range", "1e-5:1:21"],
+         {"delta": "abc"}),
+        (QUENCH + ["--delta", "1e-3"], {"delta": "abc"}),  # checked even when a flag overrides it
+        (SCALING, {"parallelism": "two"}),
+        (SCALING[:3], {"c_range": 5}),
+        (["fidelity", "--path", "A", "--gamma", "1", "--delta", "1e-3", "--c", "1"], {"N": 8.5}),
+        (SCALING, {"format": "xml"}),
+        (CROSSOVER, {"bogus": 1}),
+        (CROSSOVER, {"N_fixed": 7}),
+        (QUENCH + ["--delta", "1e-3"], {"no_integral": "yes"}),
+        (SCALING, {"command": "verify"}),
+    ])
+    def test_bad_config_file_exits_2(self, argv, config, tmp_path):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert cli.main([*argv, "--config", str(cfg_file)]) == 2
+
+    def test_explicit_flag_beats_config_value(self, tmp_path):
+        argv = ["verify", "--which", "pathA", "--gamma", "1", "--delta", "1e-3",
+                "--c-range", "0:1:2"]
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({"which": "pathA", "gamma": 1, "delta": 0.5,
+                                        "c_range": "0:1:2"}))
+        code, replayed = run_cli(["verify", "--config", str(cfg_file), "--delta", "1e-3"],
+                                 tmp_path, "replayed")
+        assert code == 0
+        _, flags_only = run_cli(argv, tmp_path, "flags")
+        assert replayed.splitlines()[1:] == flags_only.splitlines()[1:]  # config and data
+
+    def test_abbreviated_config_flag_exits_2(self, tmp_path):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({"function": "A", "c_range": "0:1:3"}))
+        assert cli.main(["scaling", "--conf", str(cfg_file)]) == 2
+        assert cli.main([*SCALING, "--conf", str(cfg_file)]) == 2
 
 
 class TestExitCodes:
