@@ -95,7 +95,7 @@ def _parse_step_range(text: str, name: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _parse_log_range(text: str, name: str, per_decade: int) -> np.ndarray:
+def _parse_log_range(text: str, name: str, per_decade: Optional[int]) -> np.ndarray:
     parts = text.split(":")
     _require(len(parts) in (2, 3), f"{name} must be lo:hi or lo:hi:count, got {text!r}")
     try:
@@ -105,7 +105,10 @@ def _parse_log_range(text: str, name: str, per_decade: int) -> np.ndarray:
         raise ConfigError(f"bad {name} {text!r}: {exc}") from None
     _require(0.0 < lo < hi, f"{name} needs 0 < lo < hi")
     if n is None:
+        per_decade = 20 if per_decade is None else per_decade
+        _require(per_decade >= 1, f"--per-decade must be >= 1, got {per_decade}")
         return log_grid(lo, hi, per_decade)
+    _require(per_decade is None, f"--per-decade is not read when {name} gives a count")
     _require(n >= 3, f"{name} needs count >= 3")
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
@@ -246,7 +249,6 @@ def _cmd_quench(cfg: dict) -> tuple[list[dict], dict]:
     if cfg["c_range"]:
         cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
     else:
-        _require(cfg["c"] is not None, "quench needs --c or --c-range")
         cs = [cfg["c"]]
     rows = _map_ordered(_quench_row, [(cfg, c) for c in cs], cfg["parallelism"])
     return rows, {}
@@ -262,16 +264,21 @@ def _cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
 
 def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
     scan = cfg["scan"]
-    per_dec = 20 if cfg["per_decade"] is None else cfg["per_decade"]
-    _require(per_dec >= 1, f"--per-decade must be >= 1, got {per_dec}")
-    grid = _parse_log_range(cfg["range"], "--range", per_dec)
+    sweep_list = cfg["sweep_list"]
+    # the scanned quantity comes from --range, the listed one from --sweep-list
+    unread = {"gamma": ["alpha"], "N": ["N"], "delta": ["delta"]}[scan]
+    if sweep_list:
+        unread.append("delta" if scan == "N" else "N")
+    mode = f"--scan {scan} with --sweep-list" if sweep_list else f"--scan {scan}"
+    for key in unread:
+        _require(cfg[key] is None, f"{mode} does not read --{key}")
+    grid = _parse_log_range(cfg["range"], "--range", cfg["per_decade"])
     target = DEFAULT_TARGETS[scan] if cfg["target"] is None else cfg["target"]
     cfg = dict(cfg, target=target, _grid=[float(v) for v in grid])
     if scan in ("N", "delta"):
         _require(cfg["alpha"] is not None, f"--scan {scan} needs --alpha")
     extras: dict = {"target": target}
 
-    sweep_list = cfg["sweep_list"]
     if scan == "gamma" or (scan == "N" and not sweep_list):  # N scans over a list sweep delta
         _require(cfg["delta"] is not None, f"--scan {scan} needs --delta")
     if sweep_list:
@@ -405,8 +412,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c", type=float)
-    p.add_argument("--c-range")
+    at = p.add_mutually_exclusive_group(required=True)
+    at.add_argument("--c", type=float)
+    at.add_argument("--c-range")
     p.add_argument("--N", type=_even_int, required=True)
     p.add_argument("--no-integral", action="store_true", default=None)
 

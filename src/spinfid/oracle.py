@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import DomainError
 from .models import ExtIsingParams, ModelParams, XYParams
@@ -28,6 +27,12 @@ N_MAX = 14
 
 #: two ground levels closer than this raise the degeneracy flag
 DEGENERACY_TOL = 1e-10
+
+
+def eigh(a: np.ndarray, **kwargs):
+    """scipy.linalg.eigh, imported on first use: only this oracle needs scipy."""
+    from scipy.linalg import eigh as scipy_eigh
+    return scipy_eigh(a, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,8 @@ def excitation_density(gamma: float, delta: float, c: float, N: int,
 
     n_int = None
     if with_integral:
-        integrand, edges = k_integrand(p1, p2, lambda lnf: -math.expm1(2.0 * lnf))
-        n_int = piecewise_quad(integrand, edges, 1e-13, QUAD_BUDGET) / math.pi
+        integrand, edges = k_integrand(p1, p2, lambda lnf: -np.expm1(2.0 * lnf))
+        n_int = piecewise_quad(integrand, edges, QUAD_BUDGET).value / math.pi
 
     surv = fidelity_product(p1, p2, grid.N).F ** 2
     return QuenchResult(n_ex=n_ex, survival=surv, n_ex_integral=n_int, per_mode_pex=per)

@@ -56,33 +56,33 @@ def _c1_c2(a: float) -> tuple[float, float]:
     return -4.0 * a / d, (a + 1.0) ** 2 / d
 
 
-def _scaled_log_kernel(l: float, a: float) -> float:
+def _scaled_log_kernel(l: np.ndarray, a: float) -> np.ndarray:
     """ln(1/2 + x / (2 sqrt(x^2 + 4 l^2))) with x = l^2 + c^2 - 1, cancellation-free."""
     x = l * l + a * a - 1.0
-    s = math.hypot(x, 2.0 * l)
-    if x > 0.0:
-        return math.log1p(-2.0 * l * l / (s * (s + x)))
+    s = np.hypot(x, 2.0 * l)
     num = 2.0 * l * l
-    if num == 0.0:
-        return -math.inf
-    return math.log(num) - math.log(s * (s - x))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
+        return np.where(x > 0.0, np.log1p(-num / (s * (s + x))),
+                        np.log(num) - np.log(s * (s - x)))
 
 
-def _scaled_pex_kernel(l: float, a: float) -> float:
+def _scaled_pex_kernel(l: np.ndarray, a: float) -> np.ndarray:
     """1/2 - x / (2 sqrt(x^2 + 4 l^2)), the scaled per-mode excitation probability."""
     x = l * l + a * a - 1.0
-    s = math.hypot(x, 2.0 * l)
-    if x > 0.0:
-        return 2.0 * l * l / (s * (s + x))
-    return (s - x) / (2.0 * s)
+    s = np.hypot(x, 2.0 * l)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
+        return np.where(x > 0.0, 2.0 * l * l / (s * (s + x)), (s - x) / (2.0 * s))
 
 
 def _improper_quad(fn, a: float) -> float:
-    # the kernels turn over at l ~ s/2 and l ~ sqrt(s), s = |1 - c^2|
+    # the kernels turn over at l ~ s/2 and l ~ sqrt(s), s = |1 - c^2|; below the
+    # first split a decade ladder brackets the log singularity at l = 0 (|c| < 1)
     s = abs(1.0 - a * a)
     inner = [s / 2.0, math.sqrt(s)] if 0.0 < s < 1.0 else []
-    return piecewise_quad(lambda l, lo, hi: fn(l, a), [0.0, *inner, 1.0, 8.0, np.inf],
-                          1e-13, QUAD_BUDGET, epsrel=1e-13, limit=400)
+    first = inner[0] if inner else 1.0
+    ladder = [first * 10.0 ** -e for e in range(12, 0, -1)]
+    return piecewise_quad(lambda l, lo, hi: fn(l, a), [0.0, *ladder, *inner, 1.0, 8.0, np.inf],
+                          QUAD_BUDGET).value
 
 
 def scaling_A_quadrature(c: float) -> float:

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-import spinfid.fidelity
 from spinfid import (
     DomainError,
     NumericsError,
@@ -19,6 +18,8 @@ from spinfid import (
 )
 from spinfid import cli
 from spinfid.crossover import even_size
+
+from conftest import every_panel_reports_error_one
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -216,9 +217,28 @@ class TestCrossoverMatchesLibrary:
          "--per-decade", "0"],
         ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4",
          "--per-decade", "-5"],
+        # flags the scan never reads: the scanned quantity, and the listed one
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--delta", "0.3",
+         "--range", "1e-9:1e-4:8"],
+        ["--scan", "gamma", "--c", "-1", "--N", "2000", "--delta", "3e-7", "--alpha", "1",
+         "--range", "1e-5:1:21"],
+        ["--scan", "N", "--alpha", "1", "--c", "1", "--delta", "1e-6", "--N", "2000",
+         "--range", "2:2e4:40"],
+        ["--scan", "gamma", "--c", "-1", "--delta", "3e-7", "--N", "2000",
+         "--sweep-list", "1000,2000", "--range", "1e-5:1:21"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000",
+         "--sweep-list", "1000,2000", "--range", "1e-9:1e-4:8"],
+        ["--scan", "N", "--alpha", "1", "--c", "1", "--delta", "1e-6",
+         "--sweep-list", "1e-6,3e-6,1e-5", "--range", "2:2e4:40"],
+        ["--scan", "delta", "--alpha", "1", "--c", "1", "--N", "2000", "--range", "1e-9:1e-4:8",
+         "--per-decade", "5"],  # a count in --range leaves --per-decade unread
     ])
     def test_invalid_crossover_configs_exit_2(self, argv):
         assert cli.main(["crossover", *argv]) == 2
+
+    @pytest.mark.parametrize("at", [["--c", "5", "--c-range", "0:1:2"], []])
+    def test_quench_needs_exactly_one_of_c_and_c_range(self, at):
+        assert cli.main(["quench", "--gamma", "1", "--delta", "1e-3", "--N", "100", *at]) == 2
 
 
 class TestDeterminism:
@@ -345,7 +365,7 @@ class TestExitCodes:
         assert code == 3
 
     def test_quench_integral_over_budget_is_3(self, monkeypatch):
-        monkeypatch.setattr(spinfid.fidelity, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        every_panel_reports_error_one(monkeypatch)
         assert cli.main(["quench", "--gamma", "1", "--delta", "1e-3", "--N", "100",
                          "--c", "0.5"]) == 3
 
@@ -353,6 +373,14 @@ class TestExitCodes:
         code = cli.main(["scaling", "--function", "A", "--c-range", "0:1:3",
                          "--output", "/nonexistent_dir_xyz/out.csv"])
         assert code == 4
+
+    def test_import_loads_no_scipy(self):
+        # scipy is needed by the dense oracle only, which imports it on first use
+        proc = subprocess.run([sys.executable, "-c", "import spinfid, sys; "
+                               "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "spinfid.cli", "scaling",

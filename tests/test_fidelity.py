@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinfid.fidelity
 from spinfid import (
     DegenerateModeError,
     DomainError,
@@ -16,6 +15,7 @@ from spinfid import (
     NumericsError,
     PathA,
     PathB,
+    PathD,
     XYParams,
     excitation_density,
     fidelity_integral,
@@ -29,8 +29,9 @@ from spinfid import (
     scaling_A_quadrature,
     scaling_B_quadrature,
 )
+from spinfid.fidelity import QuadResult, _bisect_root, piecewise_quad
 
-from conftest import even
+from conftest import even, every_panel_reports_error_one
 
 
 class TestProduct:
@@ -181,9 +182,121 @@ class TestIntegral:
     ], ids=["fidelity_integral", "excitation_density", "scaling_A_quadrature",
             "scaling_B_quadrature"])
     def test_error_estimate_over_budget_raises(self, integral, monkeypatch):
-        monkeypatch.setattr(spinfid.fidelity, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        every_panel_reports_error_one(monkeypatch)
         with pytest.raises(NumericsError, match="error estimate"):
             integral()
+
+
+# 40-digit references of the k-integrals, computed once with mpmath 1.3.0 (not a
+# dependency of the package) by running, in Python:
+#   from mpmath import mp, mpf, sin, cos, sqrt, log, acos, quad, pi
+#   import spinfid as sf
+#   mp.dps = 40
+#   def lnf(p1, p2):  # ln|f_k| from the defining p_k, q_k, with S = sqrt(p^2 + q^2)
+#       if isinstance(p1, sf.XYParams):  # f^2 = (S + p) / 2S, and S + p = q^2 / (S - p)
+#           g1, a1, g2, a2 = map(mpf, (p1.g, p1.gamma, p2.g, p2.gamma))
+#           def f(k):
+#               c, s = cos(k), sin(k)
+#               p = (g1 - c) * (g2 - c) + a1 * a2 * s * s
+#               q = (a2 * (g1 - c) - a1 * (g2 - c)) * s
+#               S = sqrt(p * p + q * q)
+#               if S == 0:  # a critical state at k = 0, where f -> 1
+#                   return mpf(0)
+#               return log((S + p if p > 0 else q * q / (S - p)) / (2 * S)) / 2
+#       else:  # |f| = |p| / S
+#           g1, g2 = mpf(p1.g), mpf(p2.g)
+#           def f(k):
+#               p = 1 + g1 * g2 - (1 - g1 * g2) * cos(k)
+#               q = (g1 - g2) * sin(k)
+#               return log(abs(p) / sqrt(p * p + q * q))
+#       return f
+#   def splits(p1, p2):  # zeros of f_k and gap minima, with ladders 10^-12..10^-1 around them
+#       anchors = []
+#       if isinstance(p1, sf.XYParams):
+#           g1, a1, g2, a2 = map(mpf, (p1.g, p1.gamma, p2.g, p2.gamma))
+#           if a1 != a2:
+#               anchors.append((a2 * g1 - a1 * g2) / (a2 - a1))
+#           anchors += [g / (1 - a * a) for g, a in ((g1, a1), (g2, a2)) if abs(a) < 1]
+#       else:
+#           gg = mpf(p1.g) * mpf(p2.g)
+#           anchors.append((1 + gg) / (1 - gg))
+#       ks = [acos(x) for x in anchors if -1 <= x <= 1]
+#       pts = {mpf(0), +pi}
+#       for k in ks + [mpf(0), +pi]:
+#           pts |= {k + s * mpf(10) ** j for j in range(-12, 0) for s in (1, -1)} | {k}
+#       return sorted(x for x in pts if 0 <= x <= pi)
+#   def fid_ref(p1, p2):
+#       return quad(lnf(p1, p2), splits(p1, p2)) / (2 * pi)
+#   def nex_ref(gamma, delta, c):
+#       p1, p2 = sf.resolve_path(sf.PathA(gamma, delta, c))
+#       f = lnf(p1, p2)
+#       return quad(lambda k: 1 - mp.exp(2 * f(k)), splits(p1, p2)) / pi
+#   print(mp.nstr(fid_ref(*sf.resolve_path(sf.PathA(1.0, 1e-3, 0.5))), 20))  # and so on
+# mp.dps = 30 prints the same digits.
+FIDELITY_REFERENCES = [
+    (PathA(1.0, 1e-3, 0.5), -0.0002175468723579738553),
+    (PathA(0.6, 2e-3, -1.8), -0.00012367801637290726097),
+    (PathB(0.4, 1e-3, 0.3), -0.00047698809681310830097),
+    (PathB(-0.5, 1e-3, 2.5), -0.000051360679354731814449),
+    (PathD(1.5, 1e-3, 1.0), -8.3843335023458053797e-6),
+    (PathD(0.7, 1e-3, 3.0), -8.7912556287864766411e-7),
+    (ExtIsingPath(1e-3, 0.6), -0.00099900069261438145979),
+    (ExtIsingPath(1e-4, -2.0), -0.000026784922176928346658),
+]
+N_EX_REFERENCES = [
+    ((1.0, 1e-3, 0.5), 0.00046667683880620513143),
+    ((0.7, 2e-3, -1.5), 0.00050893302478782265903),
+]
+# a kernel zero 2.7e-14 from its anchor when anchors were polished to 1e-13 only
+UNBRACKETED_PAIR = (XYParams(1.893841099065651, -0.604796330949373),
+                    XYParams(-0.7440559918626528, 1.1751332113354716))
+UNBRACKETED_REFERENCE = -0.96713011126013749851
+
+
+class TestHighPrecision:
+    @pytest.mark.parametrize("spec, want", FIDELITY_REFERENCES, ids=repr)
+    def test_fidelity_integral(self, spec, want):
+        assert abs(fidelity_integral(*resolve_path(spec)) - want) < 1e-13
+
+    @pytest.mark.parametrize("args, want", N_EX_REFERENCES)
+    def test_quench_k_integral(self, args, want):
+        assert abs(excitation_density(*args, 100).n_ex_integral - want) < 1e-13
+
+    def test_kernel_zero_next_to_its_anchor(self):
+        got = fidelity_integral(*UNBRACKETED_PAIR)
+        assert math.isfinite(got) and got <= 0.0
+        assert abs(got - UNBRACKETED_REFERENCE) < 1e-13
+
+    def test_anchor_within_one_ulp_of_the_sign_change(self):
+        (g1, a1), (g2, a2) = ((p.g, p.gamma) for p in UNBRACKETED_PAIR)
+        x = (a2 * g1 - a1 * g2) / (a2 - a1)
+        fn = lambda k: a2 * (g1 - math.cos(k)) - a1 * (g2 - math.cos(k))  # noqa: E731
+        k0 = _bisect_root(fn, math.acos(x))
+        below, above = fn(math.nextafter(k0, 0.0)), fn(math.nextafter(k0, 4.0))
+        assert fn(k0) == 0.0 or below * fn(k0) <= 0.0 or fn(k0) * above <= 0.0
+
+
+class TestDriver:
+    def test_diagnostics_record(self):
+        res = piecewise_quad(lambda x, lo, hi: x * x, [0.0, 0.5, 1.0], 1e-12)
+        assert res == QuadResult(value=res.value, error=res.error, panels=2, nodes=30, rounds=0)
+        assert abs(res.value - 1.0 / 3.0) < 1e-15 and res.error <= 1e-12
+
+    def test_infinite_tail(self):
+        # int_0^inf dx / (1 + x^2) = pi / 2, the [8, inf) piece in t = 8 / x
+        res = piecewise_quad(lambda x, lo, hi: 1.0 / (1.0 + x * x), [0.0, 1.0, 8.0, np.inf], 1e-13)
+        assert abs(res.value - math.pi / 2.0) < 1e-14
+
+    def test_refines_a_log_singularity(self):
+        res = piecewise_quad(lambda x, lo, hi: np.log(x), [0.0, 1.0], 1e-11)
+        assert abs(res.value + 1.0) < 1e-12
+        assert res.rounds > 0 and res.panels > 1 and res.nodes == 15 * (2 * res.panels - 1)
+
+    def test_cap_message_quotes_the_cost(self, monkeypatch):
+        every_panel_reports_error_one(monkeypatch)
+        with pytest.raises(NumericsError, match=r"panel cap: \d+ rounds, \d+ panels, "
+                                                r"\d+ integrand nodes; worst panels: \[\("):
+            fidelity_integral(*resolve_path(PathA(1.0, 1e-3, 0.5)))
 
 
 def _smooth_rate(spec):

@@ -95,6 +95,22 @@ def test_unit_window_quadrature_matches_high_precision(c, A, B):
         assert abs(scaling_B(sign * c) - B) < 1e-14
 
 
+# the same ref(c) at c = 0.3, 0.999, 1.5, 3 (mp.dps = 60 prints the same digits)
+QUADRATURE_REFERENCES = [
+    (0.3, 0.23861895403518161665, 0.48855266553079247528),
+    (0.999, 0.091639604098058796612, 0.31958134636528286519),
+    (1.5, 0.046001919283217023607, 0.17796694933453136736),
+    (3.0, 0.021288768547902449713, 0.084541962285844935876),
+]
+
+
+@pytest.mark.parametrize("c, A, B", QUADRATURE_REFERENCES)
+def test_quadrature_matches_high_precision(c, A, B):
+    for sign in (1.0, -1.0):
+        assert abs(scaling_A_quadrature(sign * c) - A) < 1e-13
+        assert abs(scaling_B_quadrature(sign * c) - B) < 1e-13
+
+
 class TestScalingB:
     def test_exact_half_at_zero(self):
         assert scaling_B(0.0) == 0.5
