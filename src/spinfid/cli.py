@@ -137,11 +137,13 @@ _PATHS: dict[str, type] = {"A": PathA, "B": PathB, "C": PathC, "D": PathD, "ext"
 
 
 def build_path_spec(cfg: dict) -> PathSpec:
-    """Construct the --path spec; its required flags are the dataclass fields."""
+    """Construct the --path spec; the dataclass fields are the flags it needs and reads."""
     cls = _PATHS[cfg["path"]]
     names = [f.name for f in fields(cls)]
     missing = ", ".join(f"--{n}" for n in names if cfg[n] is None)
     _require(not missing, f"path {cfg['path']} needs {missing}")
+    unread = [f"--{n}" for n in ("gamma", "g", "alpha") if n not in names and cfg[n] is not None]
+    _require(not unread, f"path {cfg['path']} does not read {', '.join(unread)}")
     return cls(**{n: cfg[n] for n in names})
 
 
@@ -255,8 +257,9 @@ def _cmd_quench(cfg: dict) -> tuple[list[dict], dict]:
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
-    key = "gamma" if cfg["which"] == "pathA" else "g"
+    key, unread = ("gamma", "g") if cfg["which"] == "pathA" else ("g", "gamma")
     _require(cfg[key] is not None, f"verify {cfg['which']} needs --{key}")
+    _require(cfg[unread] is None, f"verify {cfg['which']} does not read --{unread}")
     cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
     rows = _map_ordered(_verify_row, [(cfg, c) for c in cs], cfg["parallelism"])
     return rows, {}

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .models import (
-    ExtIsingParams,
     ModelParams,
     MomentumGrid,
     XYParams,
@@ -66,11 +65,12 @@ class FidelityResult:
 
 
 def _log_kernel(p1: ModelParams, p2: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(p1, XYParams) and isinstance(p2, XYParams):
+    # Selected here rather than by the parameter classes so that every kernel
+    # call looks up this module's log_abs_fk_xy / log_abs_fk_extising.
+    p1.check_same_kind(p2)
+    if isinstance(p1, XYParams):
         return lambda k: log_abs_fk_xy(k, p1, p2)
-    if isinstance(p1, ExtIsingParams) and isinstance(p2, ExtIsingParams):
-        return lambda k: log_abs_fk_extising(k, p1.g, p2.g)
-    raise DomainError(f"parameter sets of mixed model kinds: {type(p1).__name__}, {type(p2).__name__}")
+    return lambda k: log_abs_fk_extising(k, p1.g, p2.g)
 
 
 def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
@@ -82,37 +82,25 @@ def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
     bit-identical.  Any mode with |f_k| below EXACT_ZERO_FLOOR makes the
     product an exact zero and sets the flag.
     """
-    grid = MomentumGrid(int(N))
+    grid = MomentumGrid(N)
     kernel = _log_kernel(p1, p2)
     ks = grid.modes
-    per_mode = None
-
-    def chunks():
-        for lo in range(0, ks.size, _CHUNK):
-            yield ks[lo:lo + _CHUNK]
-
     exact_zero = False
     partials: list[float] = []
-    mode_rows = [] if keep_per_mode else None
-    for kc in chunks():
-        vals = kernel(kc)
-        if mode_rows is not None:
-            mode_rows.append(vals.copy())
-        if np.any(vals < _LOG_FLOOR):
-            exact_zero = True
+    mode_rows: list[np.ndarray] = []
+    for lo in range(0, ks.size, _CHUNK):
+        vals = kernel(ks[lo:lo + _CHUNK])
+        if keep_per_mode:
+            mode_rows.append(vals)
+        exact_zero = exact_zero or bool(np.any(vals < _LOG_FLOOR))
         partials.append(math.fsum(vals))
     lnF = math.fsum(partials)
+    per_mode = None
     if keep_per_mode:
-        logf = np.concatenate(mode_rows)
-        if isinstance(p1, ExtIsingParams):
-            from .models import fk_extising
-            fvals = fk_extising(ks, p1.g, p2.g)
-        else:
-            fvals = np.exp(logf)
-        per_mode = np.column_stack([ks, fvals])
+        per_mode = np.column_stack([ks, p1.mode_factors(p2, ks, np.concatenate(mode_rows))])
     if exact_zero or lnF == -math.inf:
-        return FidelityResult(lnF=-math.inf, F=0.0, N=int(N), exact_zero=True, per_mode=per_mode)
-    return FidelityResult(lnF=lnF, F=math.exp(lnF), N=int(N), exact_zero=False, per_mode=per_mode)
+        return FidelityResult(-math.inf, 0.0, grid.N, True, per_mode)
+    return FidelityResult(lnF, math.exp(lnF), grid.N, False, per_mode)
 
 
 def _ladder(anchor: float, scales: tuple[float, ...]) -> list[float]:
@@ -136,32 +124,9 @@ def integration_breakpoints(p1: ModelParams, p2: ModelParams) -> list[float]:
     so that arbitrarily narrow dips are bracketed before adaptive subdivision
     starts.
     """
-    anchors: list[float] = []
-    if isinstance(p1, XYParams):
-        g1, gam1 = p1.g, p1.gamma
-        g2, gam2 = p2.g, p2.gamma
-        if gam1 != gam2:
-            x = (gam2 * g1 - gam1 * g2) / (gam2 - gam1)
-            if -1.0 <= x <= 1.0:
-                anchors.append(_bisect_root(
-                    lambda k: gam2 * (g1 - math.cos(k)) - gam1 * (g2 - math.cos(k)),
-                    math.acos(x)))
-        for g, gam in ((g1, gam1), (g2, gam2)):
-            if gam == 0.0:
-                if -1.0 <= g <= 1.0:
-                    anchors.append(math.acos(g))
-            elif abs(gam) < 1.0:
-                x = g / (1.0 - gam * gam)
-                if -1.0 <= x <= 1.0:
-                    anchors.append(math.acos(x))
-    else:
-        g1, g2 = p1.g, p2.g
-        gg = g1 * g2
-        if gg < 0.0:
-            x = (1.0 + gg) / (1.0 - gg)
-            if -1.0 <= x <= 1.0:
-                anchors.append(_bisect_root(
-                    lambda k: 1.0 + gg - (1.0 - gg) * math.cos(k), math.acos(x)))
+    zero = p1.kernel_zero(p2)
+    anchors = [] if zero is None else [_bisect_root(*zero)]
+    anchors += [k for k in (p1.gap_minimum(), p2.gap_minimum()) if k is not None]
 
     pts: list[float] = []
     pts.extend(_END_SCALES)
@@ -404,7 +369,7 @@ def fidelity_mps_closed(g1: float, g2: float, N: int) -> FidelityResult:
     up to N ~ 1e7.  Couplings of opposite sign make s imaginary and are
     rejected; the momentum product covers that regime.
     """
-    grid = MomentumGrid(int(N))
+    grid = MomentumGrid(N)
     if g1 * g2 < 0.0:
         raise DomainError("closed-form overlap needs g1*g2 >= 0; use fidelity_product instead")
     s = math.sqrt(g1 * g2)
@@ -422,7 +387,7 @@ def phi_offset(kc: float, N: int) -> float:
     """
     if not 0.0 <= kc <= math.pi:
         raise DomainError(f"kc must lie in [0, pi], got {kc}")
-    MomentumGrid(int(N))
+    N = MomentumGrid(N).N
     phi = math.fmod(N * kc / math.pi, 2.0)
     if phi > 1.0:
         phi -= 2.0

@@ -14,83 +14,188 @@ momentum grid k = (2n+1) pi / N and the ground-state overlap of two parameter
 sets factorizes into per-mode Bogoliubov factors f_k built from the kernels
 p_k, q_k below.  Kernels accept scalar or array momenta; grid membership is
 deliberately not enforced (quadrature needs off-grid evaluation).
+
+This is the one module that knows which model families and paths exist.  A
+parameter class (a ModelParams dataclass) owns its family's physics: the
+anchors of the ln|f_k| quadrature (kernel_zero, gap_minimum), the per-mode
+factors fidelity_product keeps (mode_factors), the spin Hamiltonian of the
+dense oracle (add_spin_terms, and min_sites, the shortest chain that holds
+it), and the rule that a compared pair is of one family (check_same_kind).
+A path class (a PathSpec dataclass) has as fields exactly the parameters it
+reads, validates them when built, and resolve()s to the ordered pair of
+parameter sets.  Two type dispatches stay outside on purpose: the kernel
+choice in fidelity._log_kernel, so that every kernel call goes through the
+names log_abs_fk_xy / log_abs_fk_extising of the fidelity module, which the
+benchmark's trace layer wraps; and the formula chains of
+scaling.predict_lnF and susceptibility_smallsystem, the one place each path
+meets its scaling function, which a table keyed by class would only lengthen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError, PoleError
 
 
+def _require_finite(obj) -> None:
+    if not all(math.isfinite(getattr(obj, f.name)) for f in fields(obj)):
+        raise DomainError(f"{type(obj).__name__} parameters must be finite")
+
+
+class ModelParams:
+    """Base of the parameter sets: one frozen dataclass per model family.
+
+    kernel_zero(other) gives a function of k changing sign where the pair's
+    f_k vanishes inside (0, pi) and a guess of that k, or None; gap_minimum()
+    the momentum of the smallest gap if it lies in [0, pi], or None.
+    """
+    min_sites = 2  # the shortest chain holding every spin term on distinct sites
+
+    def __post_init__(self):
+        _require_finite(self)
+
+    def check_same_kind(self, other: ModelParams) -> None:
+        if type(other) is not type(self):
+            raise DomainError(f"parameter sets of mixed model kinds: "
+                              f"{type(self).__name__}, {type(other).__name__}")
+
+
 @dataclass(frozen=True)
-class XYParams:
+class XYParams(ModelParams):
     """Transverse field g and in-plane anisotropy gamma of the XY chain."""
     g: float
     gamma: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.g) and math.isfinite(self.gamma)):
-            raise DomainError("XY parameters must be finite")
+    def kernel_zero(self, other):
+        # q_k = 0 where gamma2 (g1 - cos k) = gamma1 (g2 - cos k)
+        g1, gam1, g2, gam2 = self.g, self.gamma, other.g, other.gamma
+        x = (gam2 * g1 - gam1 * g2) / (gam2 - gam1) if gam1 != gam2 else math.nan
+        if -1.0 <= x <= 1.0:
+            return lambda k: gam2 * (g1 - math.cos(k)) - gam1 * (g2 - math.cos(k)), math.acos(x)
+        return None
+
+    def gap_minimum(self):
+        gam = self.gamma
+        x = self.g / (1.0 - gam * gam) if abs(gam) < 1.0 else math.nan
+        return math.acos(x) if -1.0 <= x <= 1.0 else None
+
+    def mode_factors(self, other, k, log_f):
+        """Per-mode overlap factors f_k at momenta k, given ln|f_k| there."""
+        return np.exp(log_f)
+
+    def add_spin_terms(self, H, states, pos, N):
+        """Scatter the N-site Hamiltonian's terms on `states` into H at rows and columns pos[s]."""
+        row = pos[states]
+        g, gamma = self.g, self.gamma
+        for n in range(N):
+            m = (n + 1) % N
+            bn = (states >> n) & 1
+            bm = (states >> m) & 1
+            H[row, row] += -g * (1.0 - 2.0 * bn)
+            tgt = pos[states ^ ((1 << n) | (1 << m))]
+            anti = bn != bm
+            # (xx + yy)/2 flip-flop on antiparallel bonds, coefficient -1
+            H[tgt[anti], row[anti]] += -1.0
+            # (xx - yy)/2 double flip on parallel bonds, coefficient -gamma
+            H[tgt[~anti], row[~anti]] += -gamma
 
 
 @dataclass(frozen=True)
-class ExtIsingParams:
+class ExtIsingParams(ModelParams):
     """Single coupling g of the extended Ising chain (critical at g = 0)."""
     g: float
+    min_sites = 4
+
+    def kernel_zero(self, other):
+        # p_k = 0 at cos k = (1 + g1 g2) / (1 - g1 g2), for couplings of opposite sign
+        gg = self.g * other.g
+        x = (1.0 + gg) / (1.0 - gg) if gg < 0.0 else math.nan
+        if -1.0 <= x <= 1.0:
+            return lambda k: 1.0 + gg - (1.0 - gg) * math.cos(k), math.acos(x)
+        return None
+
+    def gap_minimum(self):
+        return None  # always at k = 0
+
+    def mode_factors(self, other, k, log_f):
+        return fk_extising(k, self.g, other.g)
+
+    def add_spin_terms(self, H, states, pos, N):
+        row = pos[states]
+        g = self.g
+        xx = -2.0 * (1.0 - g * g)
+        zc = -((1.0 + g) ** 2)
+        xzx = (1.0 - g) ** 2
+        for n in range(N):
+            m1 = (n + 1) % N
+            m2 = (n + 2) % N
+            H[row, row] += zc * (1.0 - 2.0 * ((states >> n) & 1))
+            tgt = pos[states ^ ((1 << n) | (1 << m1))]
+            H[tgt, row] += xx
+            tgt2 = pos[states ^ ((1 << n) | (1 << m2))]
+            H[tgt2, row] += xzx * (1.0 - 2.0 * ((states >> m1) & 1))
+
+
+class PathSpec:
+    """Base of the paths: one frozen dataclass per path, its fields all it reads."""
 
     def __post_init__(self):
-        if not math.isfinite(self.g):
-            raise DomainError("extended-Ising coupling must be finite")
+        if self.delta == 0.0:
+            raise DomainError(f"{type(self).__name__} requires delta != 0 "
+                              f"(the two states would coincide)")
+        _require_finite(self)
 
-
-def _check_shift(delta: float, c: float, name: str) -> None:
-    if delta == 0.0:
-        raise DomainError(f"{name} requires delta != 0 (the two states would coincide)")
-    if not (math.isfinite(delta) and math.isfinite(c)):
-        raise DomainError(f"{name} parameters must be finite")
+    @property
+    def eps(self) -> float:
+        return self.c * abs(self.delta)
 
 
 @dataclass(frozen=True)
-class PathA:
+class PathA(PathSpec):
     """Straight crossing of the g = 1 line: g_{1,2} = 1 + c|delta| +- delta at fixed gamma."""
     gamma: float
     delta: float
     c: float
 
-    def __post_init__(self):
-        _check_shift(self.delta, self.c, "PathA")
+    def resolve(self):
+        eps, d = self.eps, self.delta
+        return XYParams(1.0 + eps + d, self.gamma), XYParams(1.0 + eps - d, self.gamma)
 
 
 @dataclass(frozen=True)
-class PathB:
+class PathB(PathSpec):
     """Crossing of the gamma = 0 line: gamma_{1,2} = c|delta| +- delta at fixed g in (-1, 1)."""
     g: float
     delta: float
     c: float
 
     def __post_init__(self):
-        _check_shift(self.delta, self.c, "PathB")
+        super().__post_init__()
         if not -1.0 < self.g < 1.0:
             raise DomainError(f"PathB requires g in (-1, 1), got {self.g}")
 
+    def resolve(self):
+        eps, d = self.eps, self.delta
+        return XYParams(self.g, eps + d), XYParams(self.g, eps - d)
+
 
 @dataclass(frozen=True)
-class PathC:
+class PathC(PathSpec):
     """Displacement along the critical line g = 1: gamma_{1,2} = c|delta| +- delta."""
     delta: float
     c: float
 
-    def __post_init__(self):
-        _check_shift(self.delta, self.c, "PathC")
+    def resolve(self):
+        eps, d = self.eps, self.delta
+        return XYParams(1.0, eps + d), XYParams(1.0, eps - d)
 
 
 @dataclass(frozen=True)
-class PathD:
+class PathD(PathSpec):
     """Approach to the (g, gamma) = (1, 0) corner from the paramagnetic side.
 
     g_{1,2} = 1 + c|delta| +- delta, gamma_{1,2} = alpha (c|delta| +- delta),
@@ -101,51 +206,58 @@ class PathD:
     c: float
 
     def __post_init__(self):
-        _check_shift(self.delta, self.c, "PathD")
+        super().__post_init__()
         if self.alpha <= 0.0:
             raise DomainError(f"PathD requires alpha > 0, got {self.alpha}")
         if self.c < 1.0:
             raise DomainError(f"PathD requires c >= 1, got {self.c}")
 
+    def resolve(self):
+        eps, d = self.eps, self.delta
+        return (XYParams(1.0 + eps + d, self.alpha * (eps + d)),
+                XYParams(1.0 + eps - d, self.alpha * (eps - d)))
+
 
 @dataclass(frozen=True)
-class ExtIsingPath:
+class ExtIsingPath(PathSpec):
     """Crossing of the extended-Ising critical point: g_{1,2} = c|delta| +- delta."""
     delta: float
     c: float
 
-    def __post_init__(self):
-        _check_shift(self.delta, self.c, "ExtIsingPath")
+    def resolve(self):
+        eps, d = self.eps, self.delta
+        return ExtIsingParams(eps + d), ExtIsingParams(eps - d)
 
 
-PathSpec = Union[PathA, PathB, PathC, PathD, ExtIsingPath]
-ModelParams = Union[XYParams, ExtIsingParams]
+def check_path(spec: object) -> PathSpec:
+    """spec itself if it is a path; DomainError otherwise."""
+    if not isinstance(spec, PathSpec):
+        raise DomainError(f"unknown path spec {spec!r}")
+    return spec
 
 
 def resolve_path(spec: PathSpec) -> tuple[ModelParams, ModelParams]:
     """Resolve a one-parameter path into the ordered pair of parameter sets."""
-    eps = spec.c * abs(spec.delta)
-    d = spec.delta
-    if isinstance(spec, PathA):
-        return (XYParams(1.0 + eps + d, spec.gamma), XYParams(1.0 + eps - d, spec.gamma))
-    if isinstance(spec, PathB):
-        return (XYParams(spec.g, eps + d), XYParams(spec.g, eps - d))
-    if isinstance(spec, PathC):
-        return (XYParams(1.0, eps + d), XYParams(1.0, eps - d))
-    if isinstance(spec, PathD):
-        return (XYParams(1.0 + eps + d, spec.alpha * (eps + d)),
-                XYParams(1.0 + eps - d, spec.alpha * (eps - d)))
-    if isinstance(spec, ExtIsingPath):
-        return (ExtIsingParams(eps + d), ExtIsingParams(eps - d))
-    raise DomainError(f"unknown path spec {spec!r}")
+    return check_path(spec).resolve()
 
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Antiperiodic momentum set k = (2n+1) pi / N, n = 0 .. N/2 - 1, for even N."""
+    """Antiperiodic momentum set k = (2n+1) pi / N, n = 0 .. N/2 - 1, for even N.
+
+    N may be any whole number (1e4 and numpy integers too) and is stored as
+    int; a fractional N raises DomainError instead of being truncated.
+    """
     N: int
 
     def __post_init__(self):
+        try:
+            whole = int(self.N) == self.N
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise DomainError(f"chain length must be a whole number, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if self.N < 2 or self.N % 2 != 0:
             raise DomainError(f"momentum grid needs even N >= 2, got {self.N}")
 

@@ -7,7 +7,9 @@ term conserves spin-flip parity, which splits the Hamiltonian into two exact
 blocks of dimension 2^{N-1}; each block is solved densely (no iterative
 solver, no convergence ambiguity) and the global ground state is the lower of
 the two.  dense_hamiltonian exposes the full, unsplit 2^N x 2^N matrix for
-structural checks.
+structural checks.  The spin terms come from the parameter class
+(add_spin_terms, and min_sites, the shortest chain holding every term on
+distinct sites), so nothing here depends on the model family.
 
 Intended for tests and verification runs only: N <= 14, about 0.5 GB per
 parity block at the top size.
@@ -15,13 +17,12 @@ parity block at the top size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .models import ExtIsingParams, ModelParams, XYParams
+from .models import ModelParams, MomentumGrid
 
 N_MAX = 14
 
@@ -56,84 +57,43 @@ class SpinState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _check_size(N: int, params: ModelParams | None = None) -> int:
-    N = int(N)
-    if N < 2 or N % 2 != 0 or N > N_MAX:
-        raise DomainError(f"dense diagonalization supports even 2 <= N <= {N_MAX}, got {N}")
-    if isinstance(params, ExtIsingParams) and N < 4:
-        raise DomainError("the three-site term needs N >= 4 distinct sites")
+def _check_size(N: int, params: ModelParams) -> int:
+    N = MomentumGrid(N).N
+    if not params.min_sites <= N <= N_MAX:
+        raise DomainError(f"dense diagonalization of {type(params).__name__} supports even "
+                          f"{params.min_sites} <= N <= {N_MAX}, got {N}")
     return N
 
 
-def _zsign(states: np.ndarray, bit: int) -> np.ndarray:
-    """sigma^z eigenvalue (+1 spin up / bit 0) of site `bit` for each basis state."""
-    return 1.0 - 2.0 * ((states >> bit) & 1)
-
-
-def _apply_terms(H: np.ndarray, states: np.ndarray, pos: np.ndarray,
-                 params: ModelParams, N: int) -> None:
-    """Scatter all Hamiltonian terms for `states` into H via the position map."""
-    row = pos[states]
-    if isinstance(params, XYParams):
-        g, gamma = params.g, params.gamma
-        for n in range(N):
-            m = (n + 1) % N
-            bn = (states >> n) & 1
-            bm = (states >> m) & 1
-            H[row, row] += -g * (1.0 - 2.0 * bn)
-            flip = states ^ ((1 << n) | (1 << m))
-            tgt = pos[flip]
-            anti = bn != bm
-            # (xx + yy)/2 flip-flop on antiparallel bonds, coefficient -1
-            H[tgt[anti], row[anti]] += -1.0
-            # (xx - yy)/2 double flip on parallel bonds, coefficient -gamma
-            par = ~anti
-            H[tgt[par], row[par]] += -gamma
-    elif isinstance(params, ExtIsingParams):
-        g = params.g
-        xx = -2.0 * (1.0 - g * g)
-        zc = -((1.0 + g) ** 2)
-        xzx = (1.0 - g) ** 2
-        for n in range(N):
-            m1 = (n + 1) % N
-            m2 = (n + 2) % N
-            H[row, row] += zc * _zsign(states, n)
-            tgt = pos[states ^ ((1 << n) | (1 << m1))]
-            H[tgt, row] += xx
-            tgt2 = pos[states ^ ((1 << n) | (1 << m2))]
-            H[tgt2, row] += xzx * _zsign(states, m1)
-    else:
-        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+def _hamiltonian(params: ModelParams, N: int, basis: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    H = np.zeros((basis.size, basis.size))
+    params.add_spin_terms(H, basis, pos, N)
+    return H
 
 
 def dense_hamiltonian(params: ModelParams, N: int) -> np.ndarray:
     """Full 2^N x 2^N real-symmetric Hamiltonian matrix (structural checks)."""
     N = _check_size(N, params)
-    dim = 1 << N
-    states = np.arange(dim, dtype=np.int64)
-    H = np.zeros((dim, dim))
-    _apply_terms(H, states, states, params, N)
-    return H
+    states = np.arange(1 << N, dtype=np.int64)
+    return _hamiltonian(params, N, states, states)
+
+
+def _odd_parity(N: int) -> np.ndarray:
+    """1 on the basis states with an odd number of down spins, 0 on the others."""
+    states = np.arange(1 << N, dtype=np.int64)
+    pc = np.zeros(1 << N, dtype=np.int64)
+    for b in range(N):
+        pc += (states >> b) & 1
+    return pc % 2
 
 
 def _parity_sectors(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim = 1 << N
-    states = np.arange(dim, dtype=np.int64)
-    pc = np.zeros(dim, dtype=np.int64)
-    for b in range(N):
-        pc += (states >> b) & 1
-    even = states[pc % 2 == 0]
-    odd = states[pc % 2 == 1]
-    pos = np.empty(dim, dtype=np.int64)
+    odd_parity = _odd_parity(N)
+    even, odd = np.flatnonzero(odd_parity == 0), np.flatnonzero(odd_parity)
+    pos = np.empty(1 << N, dtype=np.int64)
     pos[even] = np.arange(even.size)
     pos[odd] = np.arange(odd.size)
     return even, odd, pos
-
-
-def _block(params: ModelParams, N: int, basis: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    H = np.zeros((basis.size, basis.size))
-    _apply_terms(H, basis, pos, params, N)
-    return H
 
 
 def ed_ground_state(params: ModelParams, N: int) -> SpinState:
@@ -147,10 +107,10 @@ def ed_ground_state(params: ModelParams, N: int) -> SpinState:
     """
     N = _check_size(N, params)
     even, odd, pos = _parity_sectors(N)
-    He = _block(params, N, even, pos)
+    He = _hamiltonian(params, N, even, pos)
     we, Ve = eigh(He, subset_by_index=[0, 1])
     del He
-    Ho = _block(params, N, odd, pos)
+    Ho = _hamiltonian(params, N, odd, pos)
     wo, Vo = eigh(Ho, subset_by_index=[0, 1])
     del Ho
     if we[0] <= wo[0]:
@@ -172,8 +132,7 @@ def ed_ground_state(params: ModelParams, N: int) -> SpinState:
 
 def ed_fidelity(params_a: ModelParams, params_b: ModelParams, N: int) -> float:
     """|<psi_A|psi_B>| of the two dense ground states at the same size."""
-    if type(params_a) is not type(params_b):
-        raise DomainError("fidelity needs two parameter sets of the same model kind")
+    params_a.check_same_kind(params_b)
     sa = ed_ground_state(params_a, N)
     sb = ed_ground_state(params_b, N)
     return ed_overlap(sa, sb)
@@ -188,11 +147,5 @@ def ed_overlap(sa: SpinState, sb: SpinState) -> float:
 
 def parity_expectation(state: SpinState) -> float:
     """Expectation of the global spin-flip parity operator prod_n sigma^z_n."""
-    dim = state.amplitudes.size
-    states = np.arange(dim, dtype=np.int64)
-    pc = np.zeros(dim, dtype=np.int64)
-    n = int(math.log2(dim))
-    for b in range(n):
-        pc += (states >> b) & 1
-    signs = 1.0 - 2.0 * (pc % 2)
+    signs = 1.0 - 2.0 * _odd_parity(state.N)
     return float(np.sum(signs * state.amplitudes ** 2))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fidelity import QUAD_BUDGET, fidelity_product, k_integrand, piecewise_quad
-from .models import ModelParams, MomentumGrid, PathA, log_abs_fk_xy, resolve_path
+from .models import ModelParams, MomentumGrid, PathA, log_abs_fk_xy
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,13 @@ def excitation_density(gamma: float, delta: float, c: float, N: int,
     is always computed; the k-integral companion is optional but on by
     default.
     """
+    grid = MomentumGrid(N)
+    ks = grid.modes
     if delta == 0.0:
-        grid = MomentumGrid(int(N))
-        per = np.column_stack([grid.modes, np.zeros(grid.N // 2)]) if keep_per_mode else None
+        per = np.column_stack([ks, np.zeros(ks.size)]) if keep_per_mode else None
         return QuenchResult(n_ex=0.0, survival=1.0, n_ex_integral=0.0 if with_integral else None,
                             per_mode_pex=per)
-    spec = PathA(gamma=gamma, delta=delta, c=c)
-    p1, p2 = resolve_path(spec)
-    grid = MomentumGrid(int(N))
-    ks = grid.modes
+    p1, p2 = PathA(gamma=gamma, delta=delta, c=c).resolve()
     pex = -np.expm1(2.0 * log_abs_fk_xy(ks, p1, p2))
     n_ex = (2.0 / grid.N) * math.fsum(pex)
     per = np.column_stack([ks, pex]) if keep_per_mode else None

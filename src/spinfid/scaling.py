@@ -33,6 +33,7 @@ from .models import (
     PathC,
     PathD,
     PathSpec,
+    check_path,
     kc_anisotropic,
 )
 from .specfun import elliptic_E, elliptic_K
@@ -222,12 +223,12 @@ def predict_lnF(spec: PathSpec, N: int) -> ScalingPrediction:
     + d^2 a^2 / 4; extended chain -|d| A_mps(c).  Discretization corrections
     (the sqrt(2) shift, oscillation prefactors) are folded into lnF_per_site.
     """
-    grid = MomentumGrid(int(N))
-    N = grid.N
+    N = MomentumGrid(N).N
+    spec = check_path(spec)
     d = abs(spec.delta)
     c = spec.c
     a = abs(c)
-    eps = c * d
+    eps = spec.eps
 
     if isinstance(spec, PathA):
         gamma = spec.gamma
@@ -308,12 +309,9 @@ def susceptibility_smallsystem(spec: PathSpec, N: int) -> float:
     its full hyperbolic form; PathD off-critical uses the multicritical
     susceptibility.  Validity (F close to 1) is the caller's business.
     """
-    grid = MomentumGrid(int(N))
-    N = grid.N
-    d = spec.delta
-    if d == 0.0:
-        return 1.0
-    eps = spec.c * abs(d)
+    N = MomentumGrid(N).N
+    d = check_path(spec).delta
+    eps = spec.eps
 
     if isinstance(spec, PathA):
         if abs(spec.c) <= 1.0:
@@ -325,7 +323,10 @@ def susceptibility_smallsystem(spec: PathSpec, N: int) -> float:
         if x == 0.0:
             bracket = 2.0
         else:
-            bracket = 1.0 / math.cosh(x) ** 2 + math.tanh(x) / x
+            # past |x| = 350 sech^2 x < 4e-304 is below half an ulp of tanh(x)/x,
+            # and cosh(x)^2 overflows from |x| ~ 355.6 on
+            sech2 = 1.0 / math.cosh(x) ** 2 if abs(x) < 350.0 else 0.0
+            bracket = sech2 + math.tanh(x) / x
         return 1.0 - 0.5 * d ** 2 * N ** 2 * bracket
 
     if isinstance(spec, PathD):

@@ -353,6 +353,18 @@ class TestExitCodes:
                          "--delta", "1e-3", "--c", "1"]) == 2  # missing --N
         assert cli.main(["fidelity", "--path", "A", "--gamma", "1", "--delta", "1e-3",
                          "--c", "1", "--N", "7"]) == 2  # odd N
+        # path flags the chosen path does not read
+        for path, extra in (("A", ["--g", "5"]), ("A", ["--alpha", "7"]), ("B", ["--gamma", "1"]),
+                            ("C", ["--g", "0.5"]), ("D", ["--gamma", "1"]),
+                            ("ext", ["--alpha", "1"])):
+            flags = {"A": ["--gamma", "1"], "B": ["--g", "0.5"], "D": ["--alpha", "1"]}
+            argv = ["--path", path, *flags.get(path, []), *extra, "--delta", "1e-3", "--c", "1"]
+            assert cli.main(["fidelity", *argv, "--N", "100"]) == 2
+            assert cli.main(["sweep", *argv, "--N-range", "100:200:50"]) == 2
+        for which, extra in (("pathA", ["--gamma", "1", "--g", "0.5"]),
+                             ("pathB", ["--g", "0.5", "--gamma", "1"])):
+            assert cli.main(["verify", "--which", which, *extra, "--delta", "1e-3",
+                             "--c-range", "0:1:2"]) == 2
         assert cli.main(["scaling", "--function", "A", "--c-range", "oops"]) == 2
         assert cli.main(["nonsense"]) == 2
 

@@ -17,6 +17,8 @@ from spinfid import (
     PathB,
     PathD,
     XYParams,
+    ed_fidelity,
+    ed_ground_state,
     excitation_density,
     fidelity_integral,
     fidelity_mps_closed,
@@ -28,6 +30,7 @@ from spinfid import (
     scaling_A,
     scaling_A_quadrature,
     scaling_B_quadrature,
+    susceptibility_smallsystem,
 )
 from spinfid.fidelity import QuadResult, _bisect_root, piecewise_quad
 
@@ -379,3 +382,36 @@ def test_log_shift_saturates_to_half_ln2():
         s = math.fsum(math.log(alpha * (2 * n + 1) * math.pi / N) for n in range(M))
         integral = (N / (2.0 * math.pi)) * kcut * (math.log(alpha * kcut) - 1.0)
         assert s - integral == pytest.approx(math.log(2.0) / 2.0, abs=1e-4)
+
+
+# every entry point taking a chain length, as a function of that length
+SIZED = {
+    "fidelity_product": lambda N: fidelity_product(XYParams(1.1, 1.0), XYParams(0.9, 1.0), N),
+    "fidelity_mps_closed": lambda N: fidelity_mps_closed(0.1, 0.2, N),
+    "predict_lnF": lambda N: predict_lnF(PathA(1.0, 1e-3, 0.5), N),
+    "susceptibility_smallsystem": lambda N: susceptibility_smallsystem(PathA(1.0, 1e-3, 0.5), N),
+    "phi_offset": lambda N: phi_offset(1.0, N),
+    "excitation_density": lambda N: excitation_density(1.0, 1e-3, 0.5, N),
+    "ed_ground_state": lambda N: ed_ground_state(XYParams(1.0, 1.0), N),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_chain_length_must_be_a_whole_number(name):
+    for N in (10.9, 4.7, 10.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SIZED[name](N)
+    want = repr(SIZED[name](10))
+    for N in (10.0, np.int64(10), np.float64(10.0)):
+        assert repr(SIZED[name](N)) == want
+
+
+@pytest.mark.parametrize("fn", [lambda p, q: fidelity_product(p, q, 10),
+                                lambda p, q: fidelity_integral(p, q),
+                                lambda p, q: ed_fidelity(p, q, 8)],
+                         ids=["fidelity_product", "fidelity_integral", "ed_fidelity"])
+def test_mixed_model_kinds_raise(fn):
+    xy, ext = XYParams(1.0, 1.0), ExtIsingParams(0.1)
+    for p, q in ((xy, ext), (ext, xy)):
+        with pytest.raises(DomainError):
+            fn(p, q)

@@ -66,6 +66,9 @@ class TestStructure:
             ed_ground_state(XYParams(1.0, 1.0), 7)
         with pytest.raises(DomainError):
             ed_ground_state(ExtIsingParams(0.1), 2)
+        with pytest.raises(DomainError):
+            dense_hamiltonian(ExtIsingParams(0.1), 2)
+        assert dense_hamiltonian(XYParams(0.5, 1.0), 2).shape == (4, 4)
 
 
 class TestGroundState:
@@ -85,10 +88,16 @@ class TestGroundState:
         assert abs(float(up @ state.amplitudes)) > 0.999
 
     def test_free_fermion_energy_xy(self, rng):
+        # the free-fermion energy is the even sector's ground level, so an odd
+        # ground state lies below it
         for _ in range(4):
             params = XYParams(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
             state = ed_ground_state(params, 8)
-            assert state.energy == pytest.approx(free_fermion_energy(params, 8), abs=1e-9)
+            even_energy = free_fermion_energy(params, 8)
+            if state.parity == 1:
+                assert state.energy == pytest.approx(even_energy, abs=1e-9)
+            else:
+                assert state.energy < even_energy
 
     def test_free_fermion_energy_extising(self, rng):
         for _ in range(4):

@@ -344,3 +344,24 @@ class TestSusceptibility:
     def test_path_b_unsupported(self):
         with pytest.raises(DomainError):
             susceptibility_smallsystem(PathB(0.5, 1e-3, 0.0), 100)
+
+    def test_ext_ising_sech_term_past_its_overflow(self):
+        # |eps N| = 400: cosh(x)^2 overflows, sech^2 x is far below an ulp of tanh(x)/x
+        sus = susceptibility_smallsystem(ExtIsingPath(1e-2, 2.0), 20000)
+        assert sus == 1.0 - 0.5 * 1e-2 ** 2 * 20000 ** 2 * (math.tanh(400.0) / 400.0)
+        assert susceptibility_smallsystem(ExtIsingPath(1e-2, 2.0), 10000) == -24.0
+        # short of the overflow every value keeps its bits
+        N, delta = 1000, 1e-3
+        for c in np.linspace(-355.0, 355.0, 300):
+            x = c * delta * N
+            want = 1.0 - 0.5 * delta ** 2 * N ** 2 * (1.0 / math.cosh(x) ** 2 + math.tanh(x) / x)
+            assert susceptibility_smallsystem(ExtIsingPath(delta, float(c)), N) == want
+
+
+@pytest.mark.parametrize("fn", [resolve_path, lambda spec: predict_lnF(spec, 100),
+                                lambda spec: susceptibility_smallsystem(spec, 100)],
+                         ids=["resolve_path", "predict_lnF", "susceptibility_smallsystem"])
+def test_object_that_is_not_a_path_raises(fn):
+    for spec in (XYParams(1.0, 1.0), "A", None, (1.0, 1e-3, 0.5)):
+        with pytest.raises(DomainError):
+            fn(spec)
