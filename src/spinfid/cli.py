@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .crossover import (
     DEFAULT_TARGETS,
-    LnFSweep,
+    SCAN_PATHS,
     even_size,
     find_slope_crossing,
     log_grid,
@@ -134,17 +134,27 @@ def _even_int(text: str) -> int:
 
 
 _PATHS: dict[str, type] = {"A": PathA, "B": PathB, "C": PathC, "D": PathD, "ext": ExtIsingPath}
+_VERIFY_PATHS: dict[str, type] = {"pathA": PathA, "pathB": PathB}
+_PATH_FLAGS = tuple(dict.fromkeys(f.name for cls in _PATHS.values() for f in fields(cls)))
+
+
+def _path_flags(cfg: dict, mode: str, path: type, grid: tuple = (), extra: tuple = ()) -> dict:
+    """The flag values a command needs, by name: the fields of the path it builds plus
+    `extra`, less the quantities its `grid` supplies.  A needed flag left unset, or a path
+    flag or one of `extra` set though not needed, is a ConfigError naming `mode`."""
+    needed = [n for n in (*extra, *(f.name for f in fields(path))) if n not in grid]
+    missing = ", ".join(f"--{n}" for n in needed if cfg[n] is None)
+    _require(not missing, f"{mode} needs {missing}")
+    unread = ", ".join(f"--{n}" for n in (*extra, *_PATH_FLAGS)
+                       if n not in needed and cfg.get(n) is not None)
+    _require(not unread, f"{mode} does not read {unread}")
+    return {n: cfg[n] for n in needed}
 
 
 def build_path_spec(cfg: dict) -> PathSpec:
-    """Construct the --path spec; the dataclass fields are the flags it needs and reads."""
-    cls = _PATHS[cfg["path"]]
-    names = [f.name for f in fields(cls)]
-    missing = ", ".join(f"--{n}" for n in names if cfg[n] is None)
-    _require(not missing, f"path {cfg['path']} needs {missing}")
-    unread = [f"--{n}" for n in ("gamma", "g", "alpha") if n not in names and cfg[n] is not None]
-    _require(not unread, f"path {cfg['path']} does not read {', '.join(unread)}")
-    return cls(**{n: cfg[n] for n in names})
+    """Construct the --path spec from the flags its dataclass fields name."""
+    path = _PATHS[cfg["path"]]
+    return path(**_path_flags(cfg, f"path {cfg['path']}", path))
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +199,18 @@ def _quench_row(args: tuple[dict, float]) -> dict:
     return row
 
 
-def _verify_row(args: tuple[dict, float]) -> dict:
-    cfg, c = args
-    if cfg["which"] == "pathA":
-        s = residual_pathA(cfg["gamma"], cfg["delta"], c)
-        return {"gamma": s.gamma, "delta": s.delta, "c": s.c, "E": s.E,
-                "normalized": s.normalized}
-    s = residual_pathB(cfg["g"], cfg["delta"], c)
-    return {"g": s.g, "delta": s.delta, "c": s.c, "E": s.E, "normalized": s.normalized}
+def _verify_row(args: tuple[str, dict, float]) -> dict:
+    which, flags, c = args
+    # residual_pathA / residual_pathB, looked up in this module at call time
+    s = globals()[f"residual_{which}"](**flags, c=c)
+    return {n: getattr(s, n) for n in (*flags, "c", "E", "normalized")}
 
 
-def _sweep(cfg: dict) -> LnFSweep:
-    return sweep_lnF(cfg["scan"], cfg["_grid"], cfg["c"], N=cfg["N"], delta=cfg["delta"],
-                     alpha=cfg["alpha"])
-
-
-def _crossover_point(args: tuple[dict, float]) -> dict:
-    """One crossing for one fixed value: N for gamma/delta scans, delta for N scans."""
-    cfg, v = args
-    key, v = ("delta", v) if cfg["scan"] == "N" else ("N", even_size(v))
-    sw = _sweep(dict(cfg, **{key: v}))
+def _crossover_point(args: tuple[dict, str, float]) -> dict:
+    """One crossing at value v of the listed quantity `key`: N (rounded to even) or delta."""
+    cfg, key, v = args
+    v = even_size(v) if key == "N" else v
+    sw = sweep_lnF(cfg["scan"], cfg["_grid"], **cfg["_flags"], **{key: v})
     try:
         cr = sw.crossing(cfg["target"])
     except DomainError:  # the slope never reaches the target: a result, not a bad config
@@ -257,44 +259,36 @@ def _cmd_quench(cfg: dict) -> tuple[list[dict], dict]:
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
-    key, unread = ("gamma", "g") if cfg["which"] == "pathA" else ("g", "gamma")
-    _require(cfg[key] is not None, f"verify {cfg['which']} needs --{key}")
-    _require(cfg[unread] is None, f"verify {cfg['which']} does not read --{unread}")
+    flags = _path_flags(cfg, f"verify {cfg['which']}", _VERIFY_PATHS[cfg["which"]], grid=("c",))
     cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
-    rows = _map_ordered(_verify_row, [(cfg, c) for c in cs], cfg["parallelism"])
+    rows = _map_ordered(_verify_row, [(cfg["which"], flags, c) for c in cs], cfg["parallelism"])
     return rows, {}
 
 
 def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
     scan = cfg["scan"]
     sweep_list = cfg["sweep_list"]
-    # the scanned quantity comes from --range, the listed one from --sweep-list
-    unread = {"gamma": ["alpha"], "N": ["N"], "delta": ["delta"]}[scan]
-    if sweep_list:
-        unread.append("delta" if scan == "N" else "N")
+    # --range gives the scanned quantity; --sweep-list gives N, or delta on N scans
+    listed = next(n for n in ("N", "delta") if n != scan)
     mode = f"--scan {scan} with --sweep-list" if sweep_list else f"--scan {scan}"
-    for key in unread:
-        _require(cfg[key] is None, f"{mode} does not read --{key}")
+    flags = _path_flags(cfg, mode, SCAN_PATHS[scan], (scan, listed) if sweep_list else (scan,),
+                        extra=("N",))
     grid = _parse_log_range(cfg["range"], "--range", cfg["per_decade"])
     target = DEFAULT_TARGETS[scan] if cfg["target"] is None else cfg["target"]
-    cfg = dict(cfg, target=target, _grid=[float(v) for v in grid])
-    if scan in ("N", "delta"):
-        _require(cfg["alpha"] is not None, f"--scan {scan} needs --alpha")
+    cfg = dict(cfg, target=target, _grid=[float(v) for v in grid], _flags=flags)
     extras: dict = {"target": target}
 
-    if scan == "gamma" or (scan == "N" and not sweep_list):  # N scans over a list sweep delta
-        _require(cfg["delta"] is not None, f"--scan {scan} needs --delta")
     if sweep_list:
         vals = _parse_float_list(sweep_list, "--sweep-list")
-        rows = _map_ordered(_crossover_point, [(cfg, v) for v in vals], cfg["parallelism"])
+        rows = _map_ordered(_crossover_point, [(cfg, listed, v) for v in vals],
+                            cfg["parallelism"])
         points = [(r["sweep_value"], r["crossing"]) for r in rows if r["crossing"] is not None]
         if len(points) >= 3:
             extras["fit"] = asdict(powerlaw_fit(points))
         return rows, extras
 
     # single sweep: emit the slope curve itself
-    _require(scan == "N" or cfg["N"] is not None, f"--scan {scan} needs --N")
-    sw = _sweep(cfg)
+    sw = sweep_lnF(scan, cfg["_grid"], **flags)
     rows = [{scan: v.item(), "minus_lnF": float(y), "slope": float(s)}
             for v, y, s in zip(sw.values, sw.minus_lnF, sw.slopes)]
     try:
@@ -398,7 +392,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("crossover", help="slope curves and crossover scales")
     common(p)
-    p.add_argument("--scan", choices=["gamma", "N", "delta"], required=True)
+    p.add_argument("--scan", choices=list(SCAN_PATHS), required=True)
     p.add_argument("--range", required=True,
                    help="lo:hi[:count] log grid for the scanned variable")
     p.add_argument("--per-decade", type=int)
@@ -423,7 +417,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("verify", help="residuals of the closed-form rates")
     common(p)
-    p.add_argument("--which", choices=["pathA", "pathB"], required=True)
+    p.add_argument("--which", choices=list(_VERIFY_PATHS), required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--g", type=float)
     p.add_argument("--delta", type=float, required=True)

@@ -6,12 +6,15 @@ against the inverse anisotropy, 2 -> 3/2 against the parameter shift near the
 multicritical corner).  The crossover scale is read off as the abscissa where
 the slope passes a half-way target, and the scales collected over a family of
 sweeps are fitted to a power law on log-log axes.
+
+The table SCAN_PATHS names the path each scan runs along; sweep_lnF builds its
+points from it, and `spinfid crossover` its --scan choices and flag rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -131,6 +134,7 @@ def even_size(n: float) -> int:
     return max(2, int(round(n / 2.0)) * 2)
 
 
+SCAN_PATHS: dict[str, type] = {"gamma": PathA, "N": PathD, "delta": PathD}
 # half-way between the slope plateaus: 2 -> 1 against 1/gamma and N, 2 -> 3/2 against delta
 DEFAULT_TARGETS = {"gamma": 1.5, "N": 1.5, "delta": 1.75}
 
@@ -160,17 +164,17 @@ def sweep_lnF(scan: str, grid: Sequence[float], c: float, *, N: Optional[int] = 
               delta: Optional[float] = None, alpha: float = 1.0) -> LnFSweep:
     """Exact -ln F over a sorted sweep of gamma (PathA at fixed N, delta), N (PathD at
     fixed delta; sizes rounded to even and deduplicated) or delta (PathD at fixed N)."""
+    path = SCAN_PATHS.get(scan)
+    if path is None:
+        raise DomainError(f"scan must be one of {', '.join(SCAN_PATHS)}, got {scan!r}")
     values = np.sort(np.asarray(grid, dtype=np.float64))
     if scan == "N":
         values = np.unique([even_size(v) for v in values])
-        points = [(resolve_path(PathD(alpha, delta, c)), int(n)) for n in values]
-    elif scan == "gamma":
-        points = [(resolve_path(PathA(float(g), delta, c)), N) for g in values]
-    elif scan == "delta":
-        points = [(resolve_path(PathD(alpha, float(d), c)), N) for d in values]
-    else:
-        raise DomainError(f"scan must be gamma, N, or delta, got {scan!r}")
-    y = np.array([-fidelity_product(p1, p2, n).lnF for (p1, p2), n in points])
+    # the swept value takes the place of the fixed one it scans
+    points = [{"N": N, "delta": delta, "alpha": alpha, "c": c, scan: v} for v in values.tolist()]
+    names = [f.name for f in fields(path)]
+    specs = [path(**{n: p[n] for n in names}) for p in points]
+    y = np.array([-fidelity_product(*resolve_path(s), p["N"]).lnF for s, p in zip(specs, points)])
     if scan == "gamma":
         curve = local_slopes(1.0 / values[::-1], y[::-1])
         return LnFSweep(scan, values, y, curve.s[::-1], curve)

@@ -86,7 +86,8 @@ def kz_survival_estimate(N: int, tauQ: float, nu: float = 1.0, z: float = 1.0,
     twice the c = 0 Ising scaling function, 2 A(0).  Monotonicity and the
     adiabatic limit are the only quantitative claims.
     """
-    if N <= 0 or tauQ <= 0.0 or prefactor <= 0.0 or nu <= 0.0 or z <= 0.0 or d <= 0:
-        raise DomainError("kz_survival_estimate needs positive N, tauQ, prefactor, nu, z, d")
+    N = MomentumGrid(N).N
+    if tauQ <= 0.0 or prefactor <= 0.0 or nu <= 0.0 or z <= 0.0 or d <= 0:
+        raise DomainError("kz_survival_estimate needs positive tauQ, prefactor, nu, z, d")
     expo = d * nu / (1.0 + z * nu)
     return math.exp(-N * prefactor / tauQ ** expo)

@@ -185,8 +185,8 @@ def scaling_param_derivative(g1: float, g2: float, gamma: float) -> float:
     1e-6 max(1, |c|).
     """
     delta = 0.5 * (g1 - g2)
-    if delta <= 0.0:
-        raise DomainError("requires g1 > g2 so that delta > 0")
+    if delta <= 0.0 or gamma == 0.0:
+        raise DomainError("requires g1 > g2 so that delta > 0, and gamma != 0")
     eps = 0.5 * (g1 + g2) - 1.0
     if g2 == 1.0:
         raise PoleError("derivative of the scaling parameter diverges at g2 = 1")
@@ -232,6 +232,8 @@ def predict_lnF(spec: PathSpec, N: int) -> ScalingPrediction:
 
     if isinstance(spec, PathA):
         gamma = spec.gamma
+        if gamma == 0.0:
+            raise DomainError("the Ising-crossing rate divides by gamma: needs gamma != 0")
         rate = -d * scaling_A(c) / gamma
         validity = {
             "N_delta_over_gamma": N * d / gamma,
@@ -314,6 +316,8 @@ def susceptibility_smallsystem(spec: PathSpec, N: int) -> float:
     eps = spec.eps
 
     if isinstance(spec, PathA):
+        if spec.gamma == 0.0:
+            raise DomainError("the Ising-crossing expansion divides by gamma: needs gamma != 0")
         if abs(spec.c) <= 1.0:
             return 1.0 - d ** 2 * N ** 2 / (16.0 * spec.gamma ** 2)
         return 1.0 - d ** 2 * N / (16.0 * spec.gamma * abs(eps))

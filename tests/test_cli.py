@@ -1,5 +1,6 @@
 """Command-line driver: formats, determinism, parallelism, round trips, exit codes."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -124,6 +125,16 @@ SCANS = {
               ["--N", "2000"], dict(grid=SHIFT_GRID, c=1.0, N=2000, alpha=1.0)),
 }
 
+# the flags each crossover mode needs besides --c: the fields of the scan's path and --N,
+# less the scanned quantity and, with --sweep-list, the listed one (written out by hand)
+CROSSOVER_NEEDS = {("gamma", False): {"N", "delta"}, ("N", False): {"delta", "alpha"},
+                   ("delta", False): {"N", "alpha"}, ("gamma", True): {"delta"},
+                   ("N", True): {"alpha"}, ("delta", True): {"alpha"}}
+# scan -> tiny --range and --sweep-list, at N <= 400
+TINY_CROSSOVER = {"gamma": ("1e-3:1:5", "100,200"), "N": ("2:400:5", "1e-4,1e-3"),
+                  "delta": ("1e-6:1e-3:5", "100,200")}
+FIXED = {"N": "200", "delta": "1e-3", "alpha": "1"}
+
 
 class TestCrossoverMatchesLibrary:
     @pytest.mark.parametrize("scan", sorted(SCANS))
@@ -235,6 +246,20 @@ class TestCrossoverMatchesLibrary:
     ])
     def test_invalid_crossover_configs_exit_2(self, argv):
         assert cli.main(["crossover", *argv]) == 2
+
+    @pytest.mark.parametrize("given", [s for k in range(4)
+                                       for s in itertools.combinations(FIXED, k)],
+                             ids=lambda s: "+".join(s) or "none")
+    @pytest.mark.parametrize("listed", [False, True], ids=["single", "sweep-list"])
+    @pytest.mark.parametrize("scan", sorted(TINY_CROSSOVER))
+    def test_flag_rule_accepts_only_the_needed_flags(self, scan, listed, given, tmp_path):
+        grid, sweep_list = TINY_CROSSOVER[scan]
+        argv = ["crossover", "--scan", scan, "--c", "1", "--range", grid]
+        argv += ["--sweep-list", sweep_list] if listed else []
+        for name in given:
+            argv += [f"--{name}", FIXED[name]]
+        code, _ = run_cli(argv, tmp_path)
+        assert code == (0 if set(given) == CROSSOVER_NEEDS[scan, listed] else 2)
 
     @pytest.mark.parametrize("at", [["--c", "5", "--c-range", "0:1:2"], []])
     def test_quench_needs_exactly_one_of_c_and_c_range(self, at):
@@ -361,6 +386,11 @@ class TestExitCodes:
             argv = ["--path", path, *flags.get(path, []), *extra, "--delta", "1e-3", "--c", "1"]
             assert cli.main(["fidelity", *argv, "--N", "100"]) == 2
             assert cli.main(["sweep", *argv, "--N-range", "100:200:50"]) == 2
+        # PathA at gamma = 0: the prediction has no finite rate
+        assert cli.main(["fidelity", "--path", "A", "--gamma", "0", "--delta", "1e-3",
+                         "--c", "0.5", "--N", "100"]) == 2
+        assert cli.main(["sweep", "--path", "A", "--gamma", "0", "--delta", "1e-3",
+                         "--c", "0.5", "--N-range", "100:200:50"]) == 2
         for which, extra in (("pathA", ["--gamma", "1", "--g", "0.5"]),
                              ("pathB", ["--g", "0.5", "--gamma", "1"])):
             assert cli.main(["verify", "--which", which, *extra, "--delta", "1e-3",

@@ -23,6 +23,7 @@ from spinfid import (
     fidelity_integral,
     fidelity_mps_closed,
     fidelity_product,
+    kz_survival_estimate,
     oscillation_factor,
     phi_offset,
     predict_lnF,
@@ -393,6 +394,7 @@ SIZED = {
     "phi_offset": lambda N: phi_offset(1.0, N),
     "excitation_density": lambda N: excitation_density(1.0, 1e-3, 0.5, N),
     "ed_ground_state": lambda N: ed_ground_state(XYParams(1.0, 1.0), N),
+    "kz_survival_estimate": lambda N: kz_survival_estimate(N, 100.0),
 }
 
 

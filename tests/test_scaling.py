@@ -257,6 +257,8 @@ class TestPinchPoint:
     def test_pole_at_critical_lower_state(self):
         with pytest.raises(PoleError):
             scaling_param_derivative(1.1, 1.0, 1.0)
+        with pytest.raises(DomainError):  # gamma = 0 leaves no finite derivative either
+            scaling_param_derivative(1.1, 0.9, 0.0)
 
 
 class TestPredict:
@@ -268,6 +270,14 @@ class TestPredict:
             -1e-3 * scaling_A(0.5) + math.log(2.0) / 20000.0, abs=1e-15)
         smooth = predict_lnF(PathA(1.0, 1e-3, 1.5), 10000)
         assert smooth.prefactor == 1.0
+        # gamma = 0 leaves the rate -|d| A(c) / gamma without a finite value
+        for c in (0.5, 1.5):
+            with pytest.raises(DomainError):
+                predict_lnF(PathA(0.0, 1e-3, c), 100)
+            with pytest.raises(DomainError):
+                susceptibility_smallsystem(PathA(0.0, 1e-3, c), 100)
+        # while the product is exact: the two XX states across g = 1 are orthogonal
+        assert fidelity_product(*resolve_path(PathA(0.0, 1e-3, 0.5)), 100).exact_zero
 
     def test_path_b_oscillation_amplitude(self):
         pred = predict_lnF(PathB(0.99, 0.002, 0.5), 10000)
