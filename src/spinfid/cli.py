@@ -136,6 +136,7 @@ def _even_int(text: str) -> int:
 _PATHS: dict[str, type] = {"A": PathA, "B": PathB, "C": PathC, "D": PathD, "ext": ExtIsingPath}
 _VERIFY_PATHS: dict[str, type] = {"pathA": PathA, "pathB": PathB}
 _PATH_FLAGS = tuple(dict.fromkeys(f.name for cls in _PATHS.values() for f in fields(cls)))
+_C_RANGE = ("c",)  # the path quantity a --c-range grid supplies
 
 
 def _path_flags(cfg: dict, mode: str, path: type, grid: tuple = (), extra: tuple = ()) -> dict:
@@ -149,6 +150,14 @@ def _path_flags(cfg: dict, mode: str, path: type, grid: tuple = (), extra: tuple
                        if n not in needed and cfg.get(n) is not None)
     _require(not unread, f"{mode} does not read {unread}")
     return {n: cfg[n] for n in needed}
+
+
+def _add_path_flags(p: argparse.ArgumentParser, modes: list[tuple[type, tuple]]) -> None:
+    """Declare --<field> for each path field a command's modes read, required when every
+    mode reads it.  A mode is a (path class, quantities its grid supplies) pair."""
+    reads = [[f.name for f in fields(path) if f.name not in grid] for path, grid in modes]
+    for name in dict.fromkeys(n for r in reads for n in r):
+        p.add_argument(f"--{name}", type=float, required=all(name in r for r in reads))
 
 
 def build_path_spec(cfg: dict) -> PathSpec:
@@ -184,16 +193,15 @@ def _scaling_row(args: tuple[str, float]) -> dict:
     return {"c": c, "value": _SCALING_FUNCS[fname](c)}
 
 
-def _quench_row(args: tuple[dict, float]) -> dict:
-    cfg, c = args
-    res = excitation_density(cfg["gamma"], cfg["delta"], c, cfg["N"],
-                             with_integral=not cfg["no_integral"])
+def _quench_row(args: tuple[PathA, int, bool]) -> dict:
+    spec, N, with_integral = args
+    res = excitation_density(spec.gamma, spec.delta, spec.c, N, with_integral=with_integral)
     row = {
-        "c": c,
+        "c": spec.c,
         "n_ex": res.n_ex,
         "n_ex_integral": res.n_ex_integral if res.n_ex_integral is not None else float("nan"),
-        "nex_over_delta": res.n_ex / abs(cfg["delta"]),
-        "B_c": scaling_B(c),
+        "nex_over_delta": res.n_ex / abs(spec.delta),
+        "B_c": scaling_B(spec.c),
         "survival": res.survival,
     }
     return row
@@ -250,16 +258,18 @@ def _cmd_scaling(cfg: dict) -> tuple[list[dict], dict]:
 
 
 def _cmd_quench(cfg: dict) -> tuple[list[dict], dict]:
-    if cfg["c_range"]:
+    grid = _C_RANGE if cfg["c_range"] else ()
+    flags = _path_flags(cfg, "quench", PathA, grid)
+    if grid:
         cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
     else:
-        cs = [cfg["c"]]
-    rows = _map_ordered(_quench_row, [(cfg, c) for c in cs], cfg["parallelism"])
-    return rows, {}
+        cs = [flags["c"]]
+    tasks = [(PathA(**dict(flags, c=c)), cfg["N"], not cfg["no_integral"]) for c in cs]
+    return _map_ordered(_quench_row, tasks, cfg["parallelism"]), {}
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
-    flags = _path_flags(cfg, f"verify {cfg['which']}", _VERIFY_PATHS[cfg["which"]], grid=("c",))
+    flags = _path_flags(cfg, f"verify {cfg['which']}", _VERIFY_PATHS[cfg["which"]], _C_RANGE)
     cs = [float(c) for c in _parse_count_range(cfg["c_range"], "--c-range")]
     rows = _map_ordered(_verify_row, [(cfg["which"], flags, c) for c in cs], cfg["parallelism"])
     return rows, {}
@@ -269,7 +279,7 @@ def _cmd_crossover(cfg: dict) -> tuple[list[dict], dict]:
     scan = cfg["scan"]
     sweep_list = cfg["sweep_list"]
     # --range gives the scanned quantity; --sweep-list gives N, or delta on N scans
-    listed = next(n for n in ("N", "delta") if n != scan)
+    listed = "delta" if scan == "N" else "N"
     mode = f"--scan {scan} with --sweep-list" if sweep_list else f"--scan {scan}"
     flags = _path_flags(cfg, mode, SCAN_PATHS[scan], (scan, listed) if sweep_list else (scan,),
                         extra=("N",))
@@ -371,11 +381,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     def path_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--path", choices=list(_PATHS), required=True)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--g", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--c", type=float, required=True)
+        _add_path_flags(p, [(path, ()) for path in _PATHS.values()])
 
     p = sub.add_parser("fidelity", help="exact fidelity and prediction at one size")
     common(p); path_flags(p)
@@ -401,26 +407,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="comma list of fixed values (N for gamma/delta scans, delta for N scans); "
                         "emits crossing per value plus a power-law fit")
     p.add_argument("--N", type=_even_int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float, required=True)
+    _add_path_flags(p, [(path, (scan,)) for scan, path in SCAN_PATHS.items()])
 
     p = sub.add_parser("quench", help="excitation density after a sudden shift")
     common(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    at = p.add_mutually_exclusive_group(required=True)
-    at.add_argument("--c", type=float)
-    at.add_argument("--c-range")
+    _add_path_flags(p, [(PathA, ()), (PathA, _C_RANGE)])
+    p.add_argument("--c-range")
     p.add_argument("--N", type=_even_int, required=True)
     p.add_argument("--no-integral", action="store_true", default=None)
 
     p = sub.add_parser("verify", help="residuals of the closed-form rates")
     common(p)
     p.add_argument("--which", choices=list(_VERIFY_PATHS), required=True)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--delta", type=float, required=True)
+    _add_path_flags(p, [(path, _C_RANGE) for path in _VERIFY_PATHS.values()])
     p.add_argument("--c-range", required=True)
 
     return ap, sub.choices
@@ -464,17 +463,15 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     return argv[:1] + expanded + rest
 
 
-_VALUE_FLAGS = {"--c-range", "--range", "--sweep-list", "--c", "--delta", "--g", "--gamma",
-                "--alpha", "--target"}
-
-
-def _preprocess_argv(argv: list[str]) -> list[str]:
-    """Join flag/value pairs whose value starts with '-' (ranges like -3:3:601)."""
+def _preprocess_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Join each of `parser`'s value-taking flags to a following value that starts with '-'
+    (ranges like -3:3:601)."""
+    takes_value = {s for a in parser._actions if a.nargs != 0 for s in a.option_strings}
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in takes_value and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -485,10 +482,10 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap, parsers = _build_parser()
-    argv = _preprocess_argv(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0] in parsers:
-            argv = _with_config(parsers[argv[0]], argv)
+            argv = _with_config(parsers[argv[0]], _preprocess_argv(parsers[argv[0]], argv))
         cfg = vars(ap.parse_args(argv))
         if cfg["config"] is not None:  # an abbreviation the pre-scan did not see
             parsers[cfg["command"]].error("write --config in full")

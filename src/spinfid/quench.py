@@ -7,8 +7,8 @@ probability p_k^ex = 1 - f_k^2, giving the quasiparticle density
 
     n_ex = (1/pi) int_0^pi (1 - f_k^2) dk  ~  (2/N) sum_{k>0} (1 - f_k^2)
 
-which for a small jump across the Ising line scales as |delta| B(c) with the
-scaling function B from the scaling module.  The k-integral shares the
+which for a small jump across the Ising line scales as |delta| B(c) / gamma with
+the scaling function B from the scaling module.  The k-integral shares the
 breakpoints and quadrature of fidelity_integral and is gated by its error estimate.
 """
 

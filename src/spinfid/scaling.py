@@ -6,7 +6,7 @@ a small family of scaling functions:
     A(c)      Ising-line crossing; rate -|delta| A(c) / gamma
     A_mcp(c)  multicritical approach; rate -|delta|^{3/2} alpha^2 A_mcp(c)
     A_mps(c)  extended Ising chain;  rate -|delta| A_mps(c)
-    B(c)      excited-quasiparticle density n_ex = |delta| B(c) after a sudden move
+    B(c)      excited-quasiparticle density n_ex = |delta| B(c) / gamma after a sudden move
 
 A and B are piecewise combinations of complete elliptic integrals with
 arguments c1 = -4|c|/(|c|-1)^2 and c2 = ((|c|+1)/(|c|-1))^2; both stay

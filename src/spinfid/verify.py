@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import DomainError
 from .fidelity import fidelity_integral
 from .models import PathA, PathB, resolve_path
 from .scaling import scaling_A
@@ -44,6 +45,8 @@ class ErrorSample:
 def residual_pathA(gamma: float, delta: float, c: float,
                    tol: float = RESIDUAL_QUAD_TOL) -> ErrorSample:
     """Residual of the Ising-crossing rate -|delta| A(c) / gamma."""
+    if gamma == 0.0:
+        raise DomainError("the Ising-crossing rate divides by gamma: needs gamma != 0")
     p1, p2 = resolve_path(PathA(gamma, delta, c))
     exact = fidelity_integral(p1, p2, tol=tol)
     E = exact - (-abs(delta) * scaling_A(c) / gamma)

@@ -261,9 +261,15 @@ class TestCrossoverMatchesLibrary:
         code, _ = run_cli(argv, tmp_path)
         assert code == (0 if set(given) == CROSSOVER_NEEDS[scan, listed] else 2)
 
-    @pytest.mark.parametrize("at", [["--c", "5", "--c-range", "0:1:2"], []])
-    def test_quench_needs_exactly_one_of_c_and_c_range(self, at):
-        assert cli.main(["quench", "--gamma", "1", "--delta", "1e-3", "--N", "100", *at]) == 2
+    @pytest.mark.parametrize("delta", ["1e-3", "0"])
+    @pytest.mark.parametrize("at", [["--c", "0.5"], ["--c-range", "0:1:2"],
+                                    ["--c", "0.5", "--c-range", "0:1:2"], []],
+                             ids=["c", "c-range", "both", "neither"])
+    def test_quench_needs_exactly_one_of_c_and_c_range(self, at, delta, tmp_path):
+        # and a path: PathA's checks run before a row divides by |delta|
+        code, _ = run_cli(["quench", "--gamma", "1", "--delta", delta, "--N", "100", *at],
+                          tmp_path)
+        assert code == (0 if len(at) == 2 and delta != "0" else 2)
 
 
 class TestDeterminism:
@@ -395,6 +401,8 @@ class TestExitCodes:
                              ("pathB", ["--g", "0.5", "--gamma", "1"])):
             assert cli.main(["verify", "--which", which, *extra, "--delta", "1e-3",
                              "--c-range", "0:1:2"]) == 2
+        assert cli.main(["verify", "--which", "pathA", "--gamma", "0", "--delta", "1e-3",
+                         "--c-range", "0:1:2"]) == 2
         assert cli.main(["scaling", "--function", "A", "--c-range", "oops"]) == 2
         assert cli.main(["nonsense"]) == 2
 

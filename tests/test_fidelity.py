@@ -23,6 +23,7 @@ from spinfid import (
     fidelity_integral,
     fidelity_mps_closed,
     fidelity_product,
+    fk_extising,
     kz_survival_estimate,
     oscillation_factor,
     phi_offset,
@@ -97,6 +98,15 @@ class TestProduct:
         assert res.per_mode is not None and res.per_mode.shape == (8, 2)
         assert math.fsum(np.log(res.per_mode[:, 1])) == pytest.approx(res.lnF, abs=1e-12)
         assert fidelity_product(p1, p2, 16).per_mode is None
+
+    def test_per_mode_retention_extended_chain(self):
+        res = fidelity_product(ExtIsingParams(0.05), ExtIsingParams(-0.03), 400,
+                               keep_per_mode=True)
+        ks, f = res.per_mode.T
+        assert np.array_equal(f, fk_extising(ks, 0.05, -0.03))
+        assert (np.sum(f < 0), np.sum(f > 0)) == (5, 195)  # signed factors, not |f_k|
+        # 1.8e-15 on x86-64; the bound leaves room for libm differences across 200 logs
+        assert math.fsum(np.log(np.abs(f))) == pytest.approx(res.lnF, abs=1e-13)
 
     def test_degenerate_mode_propagates(self):
         # both states gapless exactly on a representable grid momentum

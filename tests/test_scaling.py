@@ -11,11 +11,14 @@ from spinfid import (
     ExtIsingPath,
     PathA,
     PathB,
+    PathC,
     PathD,
     PoleError,
     XYParams,
     fidelity_integral,
     fidelity_product,
+    kc_anisotropic,
+    oscillation_factor,
     predict_lnF,
     resolve_path,
     scaling_A,
@@ -29,6 +32,25 @@ from spinfid import (
     susceptibility_smallsystem,
 )
 from spinfid.scaling import CRITICAL_EXPONENTS
+
+SQRT2 = math.sqrt(2.0)
+# one path per formula predict_lnF can return, at N = 20000:
+# (spec, formula_id, prefactor, oscillatory)
+FORMULAS = [
+    (PathA(1.0, 1e-3, 0.5), "ising_crossing_sqrt2", SQRT2, False),
+    (PathA(1.0, 1e-3, 1.5), "ising_crossing_smooth", 1.0, False),
+    (PathB(0.99, 0.002, 0.5), "anisotropic_crossing_oscillating",
+     oscillation_factor(kc_anisotropic(0.99), 20000), True),
+    (PathB(0.99, 0.002, 1.5), "anisotropic_crossing_smooth", 1.0, False),
+    (PathC(1e-3, 0.5), "critical_line_universal_sqrt2", SQRT2, False),
+    (PathC(1e-3, 2.0), "critical_line_universal", 1.0, False),
+    (PathC(1e-3, -150.0), "critical_line_nonuniversal", 1.0, False),
+    (PathD(1.0, 1e-4, 2.0), "multicritical_paramagnetic", 1.0, False),
+    (ExtIsingPath(1e-3, 0.5), "extended_ising_oscillating",
+     2.0 * abs(math.cos(1e-3 * 20000 * math.sqrt(0.75))), True),
+    (ExtIsingPath(1e-3, 1.0), "extended_ising_sqrt2", SQRT2, False),
+    (ExtIsingPath(1e-3, 2.0), "extended_ising_smooth", 1.0, False),
+]
 
 
 class TestScalingA:
@@ -302,6 +324,21 @@ class TestPredict:
         smooth = predict_lnF(ExtIsingPath(1e-3, 2.0), 20000)
         assert smooth.prefactor == 1.0
         assert smooth.lnF_per_site == pytest.approx(-1e-3 * scaling_A_mps(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, -150.0])
+    def test_path_c_matches_product(self, c):
+        # the universal rate while |eps| = |c| delta <= 0.1, the nonuniversal one past it
+        N, spec = 20_000, PathC(1e-3, c)
+        exact = fidelity_product(*resolve_path(spec), N).lnF / N
+        assert predict_lnF(spec, N).lnF_per_site == pytest.approx(exact, rel=1e-2)
+
+    @pytest.mark.parametrize("spec, formula, prefactor, oscillatory", FORMULAS,
+                             ids=[f[1] for f in FORMULAS])
+    def test_formula_branches(self, spec, formula, prefactor, oscillatory):
+        pred = predict_lnF(spec, 20000)
+        assert pred.formula_id == formula
+        assert pred.prefactor == pytest.approx(prefactor, rel=1e-12)
+        assert pred.oscillatory is oscillatory
 
     def test_validity_ratios_reported(self):
         pred = predict_lnF(PathA(0.5, 1e-4, 0.2), 50000)

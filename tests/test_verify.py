@@ -2,7 +2,7 @@
 
 import pytest
 
-from spinfid import residual_pathA, residual_pathB
+from spinfid import DomainError, residual_pathA, residual_pathB
 
 
 class TestIsingResidual:
@@ -20,6 +20,11 @@ class TestIsingResidual:
         for gamma, delta, c in ((1.0, 1e-3, 0.0), (1.0, 1e-3, 1.0), (0.5, 1e-4, 2.0)):
             s = residual_pathA(gamma, delta, c)
             assert abs(s.normalized) < 0.25
+
+    def test_gamma_zero_is_a_domain_error(self):
+        # the subtracted rate -|delta| A(c) / gamma has no value at gamma = 0
+        with pytest.raises(DomainError, match="divides by gamma"):
+            residual_pathA(0.0, 1e-3, 0.5)
 
     def test_quadratic_scaling_collapse(self):
         a = residual_pathA(0.5, 1e-4, 1.0).normalized
