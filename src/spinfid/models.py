@@ -19,8 +19,9 @@ This is the one module that knows which model families and paths exist.  A
 parameter class (a ModelParams dataclass) owns its family's physics: the
 anchors of the ln|f_k| quadrature (kernel_zero, gap_minimum), the per-mode
 factors fidelity_product keeps (mode_factors), the spin Hamiltonian of the
-dense oracle (add_spin_terms, and min_sites, the shortest chain that holds
-it), and the rule that a compared pair is of one family (check_same_kind).
+dense oracle as spin terms (couplings, the coupling-free spin_terms pattern
+on a ring of N sites, and min_sites, the shortest chain that holds it), and
+the rule that a compared pair is of one family (check_same_kind).
 A path class (a PathSpec dataclass) has as fields exactly the parameters it
 reads, validates them when built, and resolve()s to the ordered pair of
 parameter sets.  Two type dispatches stay outside on purpose: the kernel
@@ -87,21 +88,27 @@ class XYParams(ModelParams):
         """Per-mode overlap factors f_k at momenta k, given ln|f_k| there."""
         return np.exp(log_f)
 
-    def add_spin_terms(self, H, states, pos, N):
-        """Scatter the N-site Hamiltonian's terms on `states` into H at rows and columns pos[s]."""
-        row = pos[states]
-        g, gamma = self.g, self.gamma
-        for n in range(N):
-            m = (n + 1) % N
-            bn = (states >> n) & 1
-            bm = (states >> m) & 1
-            H[row, row] += -g * (1.0 - 2.0 * bn)
-            tgt = pos[states ^ ((1 << n) | (1 << m))]
-            anti = bn != bm
-            # (xx + yy)/2 flip-flop on antiparallel bonds, coefficient -1
-            H[tgt[anti], row[anti]] += -1.0
-            # (xx - yy)/2 double flip on parallel bonds, coefficient -gamma
-            H[tgt[~anti], row[~anti]] += -gamma
+    @property
+    def couplings(self) -> tuple[float, ...]:
+        """Coefficients of the spin terms, in the order spin_terms gives them."""
+        return (-self.g, -1.0, -self.gamma)
+
+    @staticmethod
+    def spin_terms(states, N):
+        """Per coupling, (targets, weights) of shape (N, states.size) on the N-site ring.
+
+        Site term n takes |s> to weights[n] |targets[n]> for s in states, so the
+        Hamiltonian is sum_i couplings[i] sum_n weights_i[n] |targets_i[n]><s|.
+        """
+        n = np.arange(N)[:, None]
+        bn = (states >> n) & 1
+        anti = bn != np.roll(bn, -1, axis=0)
+        pair = states ^ ((1 << n) | (1 << (n + 1) % N))
+        return [(np.broadcast_to(states, bn.shape), 1.0 - 2.0 * bn),  # field sz_n
+                # (xx + yy)/2 flip-flop on antiparallel bonds
+                (pair, anti.astype(np.float64)),
+                # (xx - yy)/2 double flip on parallel bonds
+                (pair, (~anti).astype(np.float64))]
 
 
 @dataclass(frozen=True)
@@ -124,20 +131,21 @@ class ExtIsingParams(ModelParams):
     def mode_factors(self, other, k, log_f):
         return fk_extising(k, self.g, other.g)
 
-    def add_spin_terms(self, H, states, pos, N):
-        row = pos[states]
+    @property
+    def couplings(self) -> tuple[float, ...]:
         g = self.g
-        xx = -2.0 * (1.0 - g * g)
-        zc = -((1.0 + g) ** 2)
-        xzx = (1.0 - g) ** 2
-        for n in range(N):
-            m1 = (n + 1) % N
-            m2 = (n + 2) % N
-            H[row, row] += zc * (1.0 - 2.0 * ((states >> n) & 1))
-            tgt = pos[states ^ ((1 << n) | (1 << m1))]
-            H[tgt, row] += xx
-            tgt2 = pos[states ^ ((1 << n) | (1 << m2))]
-            H[tgt2, row] += xzx * (1.0 - 2.0 * ((states >> m1) & 1))
+        return (-((1.0 + g) ** 2), -2.0 * (1.0 - g * g), (1.0 - g) ** 2)
+
+    @staticmethod
+    def spin_terms(states, N):
+        n = np.arange(N)[:, None]
+        bit = (states >> n) & 1
+        sz = 1.0 - 2.0 * bit
+        return [(np.broadcast_to(states, bit.shape), sz),  # field sz_n
+                # sx_n sx_{n+1}
+                (states ^ ((1 << n) | (1 << (n + 1) % N)), np.ones(bit.shape)),
+                # sx_n sz_{n+1} sx_{n+2}
+                (states ^ ((1 << n) | (1 << (n + 2) % N)), np.roll(sz, -1, axis=0))]
 
 
 class PathSpec:

@@ -21,6 +21,7 @@ from spinfid import (
     gap_xy,
     parity_expectation,
 )
+from spinfid.oracle import sector_blocks
 
 
 def free_fermion_energy(params, N):
@@ -38,6 +39,21 @@ def cyclic_permutation(N):
     return t
 
 
+def reflection_permutation(N):
+    s = np.arange(1 << N)
+    # site reflection n -> N-1-n: bit i of the new state is bit N-1-i of the old
+    t = np.zeros_like(s)
+    for i in range(N):
+        t |= ((s >> (N - 1 - i)) & 1) << i
+    return t
+
+
+def random_params(rng, kind):
+    if kind == "xy":
+        return XYParams(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
+    return ExtIsingParams(rng.uniform(-1.5, 1.5))
+
+
 class TestStructure:
     def test_hermiticity_exact(self, rng):
         for params in (XYParams(0.9, 0.7), XYParams(-1.3, -0.4), ExtIsingParams(0.35)):
@@ -51,6 +67,27 @@ class TestStructure:
             H = dense_hamiltonian(params, 8)
             perm = cyclic_permutation(8)
             assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) < 1e-12
+
+    def test_reflection_invariance(self):
+        # the real sector bases rest on H commuting with the site reflection
+        for params in (XYParams(1.05, 0.6), XYParams(-0.4, -1.2), ExtIsingParams(-0.2),
+                       ExtIsingParams(0.7)):
+            H = dense_hamiltonian(params, 8)
+            perm = reflection_permutation(8)
+            assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) < 1e-12
+
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    @pytest.mark.parametrize("params", [XYParams(0.8, 0.5), XYParams(-1.3, -0.4), XYParams(0.3, 0.0),
+                                        ExtIsingParams(0.35), ExtIsingParams(-1.2)], ids=repr)
+    def test_sector_levels_are_the_full_spectrum(self, params, N):
+        # 0 < m < N/2 stands for the +-k pair, so its levels count twice
+        levels = []
+        for sec, block in sector_blocks(params, N):
+            assert np.array_equal(block, block.T)
+            levels += list(eigh(block, eigvals_only=True)) * (2 if sec.paired else 1)
+        full = eigh(dense_hamiltonian(params, N), eigvals_only=True)
+        assert len(levels) == full.size
+        assert np.max(np.abs(np.sort(levels) - full)) <= 1e-11
 
     def test_translation_energy_invariance(self):
         H = dense_hamiltonian(XYParams(0.8, 0.5), 8)
@@ -80,6 +117,60 @@ class TestGroundState:
             w, v = eigh(H, subset_by_index=[0, 0])
             assert state.energy == pytest.approx(w[0], abs=1e-11)
             assert abs(float(v[:, 0] @ state.amplitudes)) == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("N", [4, 6, 8, 10])
+    @pytest.mark.parametrize("kind", ["xy", "ext"])
+    def test_blocked_matches_full_diagonalization_both_families(self, kind, N):
+        rng = np.random.default_rng([N, kind == "xy"])
+        for _ in range(3):
+            params = random_params(rng, kind)
+            state = ed_ground_state(params, N)
+            H = dense_hamiltonian(params, N)
+            w, v = eigh(H, subset_by_index=[0, 1])
+            assert state.energy == pytest.approx(w[0], abs=1e-11)
+            assert state.gap == pytest.approx(w[1] - w[0], abs=1e-11)
+            assert np.linalg.norm(H @ state.amplitudes - state.energy * state.amplitudes) < 1e-10
+            if not state.degenerate:
+                assert abs(float(v[:, 0] @ state.amplitudes)) == pytest.approx(1.0, abs=1e-11)
+
+    def test_momentum_relabeling_sign(self):
+        # a one-site relabeling multiplies a real momentum eigenstate by
+        # exp(2 pi i m / N): +1 at m = 0, -1 at m = N/2, to the last bit
+        rng = np.random.default_rng(5)
+        signs = set()
+        for N in (4, 6, 8, 10):
+            perm = cyclic_permutation(N)
+            for kind in ("xy", "ext"):
+                for _ in range(4):
+                    params = random_params(rng, kind)
+                    state = ed_ground_state(params, N)
+                    if not state.degenerate:
+                        assert state.momentum in (0, N // 2)
+                        sign = 1.0 if state.momentum == 0 else -1.0
+                        assert np.array_equal(state.amplitudes[perm], sign * state.amplitudes)
+                    # the lowest state of every real sector, m = N/2 included
+                    for sec, block in sector_blocks(params, N):
+                        if not sec.paired:
+                            amp = sec.amplitudes(eigh(block, subset_by_index=[0, 0])[1][:, 0])
+                            sign = 1.0 if sec.m == 0 else -1.0
+                            assert np.array_equal(amp[perm], sign * amp)
+                            signs.add(sign)
+        assert signs == {1.0, -1.0}
+
+    @pytest.mark.parametrize("params", [XYParams(0.3, 0.5), XYParams(0.0, 0.0), ExtIsingParams(-0.6)],
+                             ids=repr)
+    def test_paired_sector_amplitudes(self, params):
+        # what a ground level in a +-k pair would return: a real unit vector of
+        # that level, built from the real or imaginary part of the sector state
+        N = 8
+        H = dense_hamiltonian(params, N)
+        for sec, block in sector_blocks(params, N):
+            if sec.paired:
+                w, v = eigh(block, subset_by_index=[0, 0])
+                amp = sec.amplitudes(v[:, 0])
+                assert amp.dtype == np.float64
+                assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(H @ amp - w[0] * amp) < 1e-10
 
     def test_polarized_limit(self):
         state = ed_ground_state(XYParams(100.0, 1.0), 8)
@@ -184,3 +275,18 @@ class TestOverlap:
             assert ov == pytest.approx(fidelity_product(ExtIsingParams(g1), ExtIsingParams(g2), 8).F, abs=1e-10)
             assert ov == pytest.approx(fidelity_mps_closed(g1, g2, 8).F, abs=1e-10)
             done += 1
+
+    def test_product_agreement_at_largest_size(self):
+        # criterion 1's rejection rule and tolerance at N = N_MAX = 14
+        rng = np.random.default_rng(14)
+        for kind in ("xy", "ext"):
+            done = attempts = 0
+            while done < 2:
+                attempts += 1
+                assert attempts < 20, "rejection sampling stuck"
+                pa, pb = random_params(rng, kind), random_params(rng, kind)
+                sa, sb = ed_ground_state(pa, 14), ed_ground_state(pb, 14)
+                if min(sa.gap, sb.gap) <= 1e-8 or sa.parity != 1 or sb.parity != 1:
+                    continue
+                assert abs(fidelity_product(pa, pb, 14).F - ed_overlap(sa, sb)) <= 1e-10
+                done += 1
