@@ -10,6 +10,8 @@ truth round out the package; the `spinfid` command drives all of it in batch.
 
 __version__ = "0.1.0"
 
+import importlib as _importlib
+
 from .errors import (
     ConfigError,
     DegenerateModeError,
@@ -73,5 +75,19 @@ from .crossover import (
     sweep_lnF,
 )
 from .quench import QuenchResult, excitation_density, instantaneous_survival, kz_survival_estimate
-from .oracle import SpinState, dense_hamiltonian, ed_fidelity, ed_ground_state, ed_overlap, parity_expectation
 from .verify import ErrorSample, residual_pathA, residual_pathB
+
+# the dense oracle loads on first use (PEP 562): no command-line run needs it
+_ORACLE_NAMES = frozenset({"SpinState", "dense_hamiltonian", "ed_fidelity", "ed_ground_state",
+                           "ed_overlap", "parity_expectation"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES or name == "oracle":
+        oracle = _importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES | {"oracle"})

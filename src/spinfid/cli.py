@@ -13,7 +13,8 @@ failure, 4 I/O failure.
 Numbers are read in two places: `_numbers` reads the `:` grids and the `,`
 list, and argparse types made by `_arg` read the scalar flags.  Real numbers
 must be finite; counts and steps are whole; `--N` is even and >= 2,
-`--per-decade` >= 1 and `--parallelism` >= 0.  Anything else exits 2.
+`--per-decade` >= 1 and `--parallelism` >= 0.  Anything else exits 2, as
+does a chain length the momentum grid refuses (above 2^40).
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ antiperiodic momentum grid,
 
 and is accumulated here in the log domain: near criticality F underflows a
 double well below N ~ 1e5, while ln F stays perfectly representable.  The
+product engine makes the modes block by block from their indices, evaluates
+the kernel on 8192 modes at a time (the block's temporaries stay in cache,
+and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
+exact_sum, an exactly rounded bucket sum equal to math.fsum, and sums the
+chunk partials with math.fsum.  A sweep that holds both fields fixed passes a
+GapTable of its N so the kernel skips the trigonometry.  The
 thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
 so the integration interval is pre-split there (each zero polished by
@@ -26,13 +32,14 @@ NumericsError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericsError
 from .models import (
+    GapTable,
     ModelParams,
     MomentumGrid,
     XYParams,
@@ -46,7 +53,42 @@ from .models import (
 EXACT_ZERO_FLOOR = 1e-300
 _LOG_FLOOR = math.log(EXACT_ZERO_FLOOR)
 
-_CHUNK = 1 << 20
+_BLOCK = 1 << 13  # modes per kernel call: the block's temporaries stay in cache
+_CHUNK = 1 << 20  # modes per exact partial sum; the partials are summed once more
+
+# exact_sum: the fraction bits split off a double's top half, the largest
+# biased exponent summed by buckets (2^977, far from overflow), and the sizes
+# where bucketing beats math.fsum
+_TOP_HALF = ~((1 << 26) - 1)
+_EXP_MAX = 2000
+_SUM_MIN, _SUM_MAX, _SUM_BLOCK = 1024, 1 << 26, 1 << 15
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """Exactly rounded sum of a 1-d float64 array; always equal to math.fsum(x).
+
+    After Zhu & Hayes' HybridSum (SIAM J. Sci. Comput. 31, 2981 (2009)):
+    each value is split into a top half carrying its sign, exponent and top
+    26 fraction bits and the remainder, which holds the low 26 bits, and
+    np.bincount sums each half per binary exponent.  All halves in one bucket
+    are whole multiples of that bucket's unit, so for up to 2^26 terms every
+    bucket sum stays below 2^53 units and is exact (subnormals included), and
+    math.fsum of the bucket sums rounds the exact total once.  Non-finite or
+    near-overflow input, and arrays too short to pay, go to math.fsum itself.
+    """
+    if not _SUM_MIN <= x.size <= _SUM_MAX:
+        return math.fsum(x)
+    high, low = np.zeros(2048), np.zeros(2048)
+    for lo in range(0, x.size, _SUM_BLOCK):
+        v = x[lo:lo + _SUM_BLOCK]
+        bits = v.view(np.int64)
+        biased = (bits >> 52) & 0x7FF
+        if biased.max() > _EXP_MAX:
+            return math.fsum(x)
+        top = (bits & _TOP_HALF).view(np.float64)
+        high += np.bincount(biased, weights=top, minlength=2048)
+        low += np.bincount(biased, weights=v - top, minlength=2048)
+    return math.fsum(high[high != 0.0].tolist() + low[low != 0.0].tolist())
 
 
 @dataclass(frozen=True)
@@ -64,43 +106,72 @@ class FidelityResult:
     per_mode: Optional[np.ndarray] = None
 
 
-def _log_kernel(p1: ModelParams, p2: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+def _log_kernel(p1: ModelParams, p2: ModelParams) -> Callable[..., np.ndarray]:
     # Selected here rather than by the parameter classes so that every kernel
-    # call looks up this module's log_abs_fk_xy / log_abs_fk_extising.
+    # call looks up this module's log_abs_fk_xy / log_abs_fk_extising.  The XY
+    # kernel takes a gap table's rows for k as its optional second argument.
     p1.check_same_kind(p2)
     if isinstance(p1, XYParams):
-        return lambda k: log_abs_fk_xy(k, p1, p2)
-    return lambda k: log_abs_fk_extising(k, p1.g, p2.g)
+        return lambda k, rows=None: log_abs_fk_xy(k, p1, p2, rows)
+    return lambda k, rows=None: log_abs_fk_extising(k, p1.g, p2.g)
+
+
+def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid,
+                    table: Optional[GapTable] = None) -> Iterator[np.ndarray]:
+    """ln|f_k| over the grid in ascending k, one array per _CHUNK modes.
+
+    Each chunk is filled by kernel calls on _BLOCK modes at a time, with the
+    modes made from their indices, so no array of all N/2 modes is held.
+    """
+    if table is not None and table.grid != grid:
+        raise DomainError(f"gap table is for N = {table.grid.N}, not N = {grid.N}")
+    kernel = _log_kernel(p1, p2)
+    for lo in range(0, grid.size, _CHUNK):
+        hi = min(lo + _CHUNK, grid.size)
+        vals = np.empty(hi - lo)
+        for b in range(lo, hi, _BLOCK):
+            e = min(b + _BLOCK, hi)
+            rows = None if table is None else table.rows(p1, p2, b, e)
+            vals[b - lo:e - lo] = kernel(grid.block(b, e), rows)
+        yield vals
+
+
+def sum_log_modes(chunks: Iterable[np.ndarray], N: int) -> FidelityResult:
+    """The product's FidelityResult from its ln|f_k| chunks: an exact sum per chunk,
+    math.fsum of the partials, and the exact-zero floor."""
+    exact_zero = False
+    partials: list[float] = []
+    for vals in chunks:
+        exact_zero = exact_zero or bool(np.any(vals < _LOG_FLOOR))
+        partials.append(exact_sum(vals))
+    lnF = math.fsum(partials)
+    if exact_zero or lnF == -math.inf:
+        return FidelityResult(-math.inf, 0.0, N, True)
+    return FidelityResult(lnF, math.exp(lnF), N, False)
 
 
 def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
-                     keep_per_mode: bool = False) -> FidelityResult:
-    """Exact fidelity via the momentum product, log-domain, compensated summation.
+                     keep_per_mode: bool = False,
+                     table: Optional[GapTable] = None) -> FidelityResult:
+    """Exact fidelity via the momentum product, log-domain, exactly rounded summation.
 
-    ln F = sum_{k>0} ln|f_k| accumulated in ascending-k order with exactly
-    rounded compensated summation (math.fsum), so repeated runs are
-    bit-identical.  Any mode with |f_k| below EXACT_ZERO_FLOOR makes the
-    product an exact zero and sets the flag.
+    ln F = sum_{k>0} ln|f_k|, with the kernel evaluated on _BLOCK modes at a
+    time, each chunk of _CHUNK modes summed exactly (exact_sum, equal to
+    math.fsum) and the chunk partials summed by math.fsum, so the result does
+    not depend on the block size and repeated runs are bit-identical.  Any
+    mode with |f_k| below EXACT_ZERO_FLOOR makes the product an exact zero
+    and sets the flag.  table, a GapTable of this N holding both states'
+    fields, saves the trigonometry of a sweep that varies only anisotropies.
     """
     grid = MomentumGrid(N)
-    kernel = _log_kernel(p1, p2)
+    chunks = list(log_mode_chunks(p1, p2, grid, table)) if keep_per_mode else \
+        log_mode_chunks(p1, p2, grid, table)
+    res = sum_log_modes(chunks, grid.N)
+    if not keep_per_mode:
+        return res
     ks = grid.modes
-    exact_zero = False
-    partials: list[float] = []
-    mode_rows: list[np.ndarray] = []
-    for lo in range(0, ks.size, _CHUNK):
-        vals = kernel(ks[lo:lo + _CHUNK])
-        if keep_per_mode:
-            mode_rows.append(vals)
-        exact_zero = exact_zero or bool(np.any(vals < _LOG_FLOOR))
-        partials.append(math.fsum(vals))
-    lnF = math.fsum(partials)
-    per_mode = None
-    if keep_per_mode:
-        per_mode = np.column_stack([ks, p1.mode_factors(p2, ks, np.concatenate(mode_rows))])
-    if exact_zero or lnF == -math.inf:
-        return FidelityResult(-math.inf, 0.0, grid.N, True, per_mode)
-    return FidelityResult(lnF, math.exp(lnF), grid.N, False, per_mode)
+    per_mode = np.column_stack([ks, p1.mode_factors(p2, ks, np.concatenate(chunks))])
+    return replace(res, per_mode=per_mode)
 
 
 def _ladder(anchor: float, scales: tuple[float, ...]) -> list[float]:

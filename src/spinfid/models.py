@@ -13,7 +13,9 @@ In the even-quasiparticle sector both diagonalize over the antiperiodic
 momentum grid k = (2n+1) pi / N and the ground-state overlap of two parameter
 sets factorizes into per-mode Bogoliubov factors f_k built from the kernels
 p_k, q_k below.  Kernels accept scalar or array momenta; grid membership is
-deliberately not enforced (quadrature needs off-grid evaluation).
+deliberately not enforced (quadrature needs off-grid evaluation).  The grid
+hands out its modes in index blocks, and a GapTable keeps sin k and the XY
+gap terms of fixed fields for a sweep over anisotropies.
 
 This is the one module that knows which model families and paths exist.  A
 parameter class (a ModelParams dataclass) owns its family's physics: the
@@ -254,9 +256,15 @@ class MomentumGrid:
     """Antiperiodic momentum set k = (2n+1) pi / N, n = 0 .. N/2 - 1, for even N.
 
     N may be any whole number (1e4 and numpy integers too) and is stored as
-    int; a fractional N raises DomainError instead of being truncated.
+    int; a fractional N raises DomainError instead of being truncated, and so
+    does N above MAX_N.
     """
     N: int
+
+    # Far past any size a product can be evaluated at (N = 1e7 takes about a
+    # second), and small enough that every index 2n + 1 and N itself are
+    # exact in float64, so each mode is one correctly rounded expression.
+    MAX_N = 1 << 40
 
     def __post_init__(self):
         try:
@@ -268,11 +276,58 @@ class MomentumGrid:
         object.__setattr__(self, "N", int(self.N))
         if self.N < 2 or self.N % 2 != 0:
             raise DomainError(f"momentum grid needs even N >= 2, got {self.N}")
+        if self.N > self.MAX_N:
+            raise DomainError(f"momentum grid needs N <= 2^40, got {self.N}")
+
+    @property
+    def size(self) -> int:
+        """Number of modes, N/2."""
+        return self.N // 2
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Modes n = lo .. hi - 1, each by the same expression as in `modes`."""
+        n = np.arange(lo, hi, dtype=np.float64)
+        return (2.0 * n + 1.0) * math.pi / self.N
 
     @property
     def modes(self) -> np.ndarray:
-        n = np.arange(self.N // 2, dtype=np.float64)
-        return (2.0 * n + 1.0) * math.pi / self.N
+        return self.block(0, self.size)
+
+
+@dataclass(frozen=True)
+class GapTable:
+    """sin k and the XY gap terms g - cos k of fixed fields g over one momentum grid.
+
+    A sweep that holds the fields fixed and varies only the anisotropies (a
+    gamma scan on PathA) builds one table per N and hands it to every
+    product at that N; the kernel then forms p_k and q_k from the table by
+    the same operations as from k, so the products keep their bits.  Built
+    in blocks from the grid's indices; memory is (1 + len(fields)) N/2 doubles.
+    """
+    grid: MomentumGrid
+    sin_k: np.ndarray
+    terms: dict
+
+    @classmethod
+    def build(cls, grid: MomentumGrid, fields_g, block: int = 8192) -> GapTable:
+        gs = sorted(set(fields_g))
+        sin_k = np.empty(grid.size)
+        terms = {g: np.empty(grid.size) for g in gs}
+        for lo in range(0, grid.size, block):
+            hi = min(lo + block, grid.size)
+            k = grid.block(lo, hi)
+            ck, s2 = np.cos(k), np.sin(0.5 * k) ** 2
+            sin_k[lo:hi] = np.sin(k)
+            for g in gs:
+                terms[g][lo:hi] = _gap_terms(ck, s2, g)
+        return cls(grid, sin_k, terms)
+
+    def rows(self, p1: XYParams, p2: XYParams, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """(sin k, a1, a2) of modes lo .. hi - 1 for the pair's fields."""
+        try:
+            return self.sin_k[lo:hi], self.terms[p1.g][lo:hi], self.terms[p2.g][lo:hi]
+        except KeyError as exc:
+            raise DomainError(f"gap table holds no field g = {exc.args[0]!r}") from None
 
 
 def gap_xy(k, p: XYParams):
@@ -295,11 +350,13 @@ def _gap_terms(ck: np.ndarray, s2: np.ndarray, g: float) -> np.ndarray:
     return np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck)
 
 
-def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams) -> tuple[np.ndarray, np.ndarray]:
-    ck, sk = np.cos(k), np.sin(k)
-    s2 = np.sin(0.5 * k) ** 2
-    a1 = _gap_terms(ck, s2, p1.g)
-    a2 = _gap_terms(ck, s2, p2.g)
+def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams,
+           rows: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    if rows is None:
+        ck, sk = np.cos(k), np.sin(k)
+        s2 = np.sin(0.5 * k) ** 2
+        rows = sk, _gap_terms(ck, s2, p1.g), _gap_terms(ck, s2, p2.g)
+    sk, a1, a2 = rows
     p = a1 * a2 + p1.gamma * p2.gamma * sk * sk
     q = (p2.gamma * a1 - p1.gamma * a2) * sk
     return p, q
@@ -321,25 +378,36 @@ def _raise_if_degenerate(p: np.ndarray, q: np.ndarray) -> None:
             "the mode overlap factor is undefined")
 
 
-def log_abs_fk_xy(k, p1: XYParams, p2: XYParams):
+def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple[np.ndarray, ...] | None = None):
     """ln f_k for the XY pair, computed without cancellation.
 
     f_k^2 = (S + p_k) / (2 S) with S = sqrt(p_k^2 + q_k^2).  For p_k > 0 the
     direct form loses all digits once f_k is close to 1, so the equivalent
     ln f_k = (1/2) log1p(-q_k^2 / (2 S (S + p_k))) is used there; for
     p_k <= 0 the factored form (S + p_k) = q_k^2 / (S - p_k) is exact.
-    Returns -inf where f_k = 0.
+    Returns -inf where f_k = 0.  rows, from GapTable.rows for these k,
+    replaces the trigonometry with the table's bit-identical entries.
     """
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    p, q = _pq_xy(k, p1, p2)
+    p, q = _pq_xy(k, p1, p2, rows)
     _raise_if_degenerate(p, q)
     s = np.hypot(p, q)
-    out = np.empty_like(s)
     pos = p > 0.0
-    out[pos] = 0.5 * np.log1p(-(q[pos] ** 2) / (2.0 * s[pos] * (s[pos] + p[pos])))
-    neg = ~pos
-    with np.errstate(divide="ignore"):
-        out[neg] = 0.5 * (np.log(q[neg] ** 2 / (s[neg] - p[neg])) - np.log(2.0 * s[neg]))
+    where = True if pos.all() else pos
+    # the p > 0 branch in place: -(q^2) / (2 s (s + p)), then (1/2) log1p
+    out, den, sp = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    np.square(q, out=out, where=where)
+    np.negative(out, out=out, where=where)
+    np.multiply(2.0, s, out=den, where=where)
+    np.add(s, p, out=sp, where=where)
+    np.multiply(den, sp, out=den, where=where)
+    np.divide(out, den, out=out, where=where)
+    np.log1p(out, out=out, where=where)
+    np.multiply(0.5, out, out=out, where=where)
+    if where is not True:
+        neg = ~pos
+        with np.errstate(divide="ignore"):
+            out[neg] = 0.5 * (np.log(q[neg] ** 2 / (s[neg] - p[neg])) - np.log(2.0 * s[neg]))
     return out
 
 

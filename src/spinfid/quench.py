@@ -21,8 +21,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .fidelity import QUAD_BUDGET, fidelity_product, k_integrand, piecewise_quad
-from .models import ModelParams, MomentumGrid, PathA, log_abs_fk_xy
+from .fidelity import (
+    QUAD_BUDGET,
+    exact_sum,
+    fidelity_product,
+    k_integrand,
+    log_mode_chunks,
+    piecewise_quad,
+    sum_log_modes,
+)
+from .models import ModelParams, MomentumGrid, PathA
 
 
 @dataclass(frozen=True)
@@ -56,22 +64,23 @@ def excitation_density(gamma: float, delta: float, c: float, N: int,
     default.
     """
     grid = MomentumGrid(N)
-    ks = grid.modes
     if delta == 0.0:
-        per = np.column_stack([ks, np.zeros(ks.size)]) if keep_per_mode else None
+        per = np.column_stack([grid.modes, np.zeros(grid.size)]) if keep_per_mode else None
         return QuenchResult(n_ex=0.0, survival=1.0, n_ex_integral=0.0 if with_integral else None,
                             per_mode_pex=per)
     p1, p2 = PathA(gamma=gamma, delta=delta, c=c).resolve()
-    pex = -np.expm1(2.0 * log_abs_fk_xy(ks, p1, p2))
-    n_ex = (2.0 / grid.N) * math.fsum(pex)
-    per = np.column_stack([ks, pex]) if keep_per_mode else None
+    # one kernel pass serves both the excitation sum and the survival product
+    chunks = list(log_mode_chunks(p1, p2, grid))
+    pex = -np.expm1(2.0 * np.concatenate(chunks))
+    n_ex = (2.0 / grid.N) * exact_sum(pex)
+    per = np.column_stack([grid.modes, pex]) if keep_per_mode else None
 
     n_int = None
     if with_integral:
         integrand, edges = k_integrand(p1, p2, lambda lnf: -np.expm1(2.0 * lnf))
         n_int = piecewise_quad(integrand, edges, QUAD_BUDGET).value / math.pi
 
-    surv = fidelity_product(p1, p2, grid.N).F ** 2
+    surv = sum_log_modes(chunks, grid.N).F ** 2
     return QuenchResult(n_ex=n_ex, survival=surv, n_ex_integral=n_int, per_mode_pex=per)
 
 

@@ -418,6 +418,7 @@ class TestNumbers:
         ["fidelity", "--path", "A", "--gamma", "1", "--delta", "nan", "--c", "1", "--N", "100"],
         ["fidelity", *PATH_A, "--N", "7"],
         ["fidelity", *PATH_A, "--N", "0"],
+        ["fidelity", *PATH_A, "--N", "100000000000000000000"],
         ["scaling", "--function", "A", "--c-range", "0:1:3", "--parallelism", "-1"],
     ])
     def test_rejected_input_exits_2_without_traceback(self, argv, capsys):
@@ -480,6 +481,16 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_defers_the_oracle(self):
+        proc = subprocess.run([sys.executable, "-c", "import spinfid, sys; "
+                               "print('spinfid.oracle' in sys.modules); "
+                               "from spinfid import ed_ground_state; "
+                               "print('spinfid.oracle' in sys.modules, "
+                               "ed_ground_state is spinfid.oracle.ed_ground_state)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "spinfid.cli", "scaling",

@@ -126,6 +126,13 @@ class TestSweepLnF:
         assert sw.crossing(1.5).x == want
         assert gamma_crossing(2000, 3e-7, -1.0, gammas).x == want
 
+    @pytest.mark.parametrize("N", [2 * 8192 + 2, 40002])
+    def test_gamma_sweep_equals_direct_products(self, N):
+        # the sweep's gap table must not move a bit: gamma_crossing is compared exactly
+        gammas = np.logspace(-4.0, 0.0, 17)
+        y = [-fidelity_product(*resolve_path(PathA(g, 3e-7, -1.0)), N).lnF for g in gammas]
+        assert np.array_equal(sweep_lnF("gamma", gammas, -1.0, N=N, delta=3e-7).minus_lnF, y)
+
     def test_size_sweep_rounds_and_dedupes(self):
         sw = sweep_lnF("N", [7.0, 3.0, 2.2, 9.0, 12.9], 1.0, delta=1e-6)
         assert sw.values.tolist() == [2, 4, 8, 12]

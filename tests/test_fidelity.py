@@ -34,7 +34,8 @@ from spinfid import (
     scaling_B_quadrature,
     susceptibility_smallsystem,
 )
-from spinfid.fidelity import QuadResult, _bisect_root, piecewise_quad
+from spinfid.fidelity import QuadResult, _bisect_root, exact_sum, piecewise_quad
+from spinfid.models import GapTable, MomentumGrid, log_abs_fk_extising, log_abs_fk_xy
 
 from conftest import even, every_panel_reports_error_one
 
@@ -138,6 +139,95 @@ class TestProduct:
         up = fidelity_product(*resolve_path(PathA(gamma, delta, c)), 256)
         dn = fidelity_product(*resolve_path(PathA(gamma, -delta, c)), 256)
         assert up.lnF == dn.lnF
+
+
+def _adversarial_sums():
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal(4000) * 10.0 ** rng.uniform(-300.0, 300.0, 4000)
+    half = rng.standard_normal(3000) * 10.0 ** rng.uniform(-300.0, 300.0, 3000)
+    cancel = np.concatenate([half, -half, [1e-300, -3e-310, 2.0 ** -1074]])
+    rng.shuffle(cancel)
+    subnormal = rng.uniform(-1.0, 1.0, 5000) * 2.0 ** rng.integers(-1074, -1015, 5000)
+    with_inf = np.concatenate([-np.abs(rng.standard_normal(3000)), [-np.inf]])
+    big = rng.standard_normal(1 << 20) * 1e-3 - 1e-7
+    return {
+        "cancellation across 1e+-300": cancel,
+        "mixed signs and magnitudes": wide,
+        "mixed signs near 1": np.concatenate([rng.standard_normal(5000), [1e16, -1e16, 0.5]]),
+        "subnormals": subnormal,
+        "subnormals and normals": np.concatenate([subnormal, rng.standard_normal(2000) * 1e-300]),
+        "minus infinity": with_inf,
+        "signed zeros": np.array([-0.0] * 3000 + [0.0] * 10),
+        "near overflow": np.concatenate([[1e308, -1e308, 1e300], rng.standard_normal(2000)]),
+        "empty": np.array([]),
+        "short": np.array([0.1, 0.2, 0.3]),
+        "2^20 terms": big,
+        "2^20 terms reversed": big[::-1],
+    }
+
+
+_SUMS = _adversarial_sums()
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("name", list(_SUMS))
+    def test_equals_math_fsum(self, name):
+        x = _SUMS[name]
+        got, want = exact_sum(x), math.fsum(x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_nan_propagates(self):
+        assert math.isnan(exact_sum(np.array([1.0] * 2000 + [math.nan])))
+
+
+def _reference_lnF(p1, p2, N):
+    """ln F from the whole mode array: one kernel call, math.fsum per 2^20 modes, then
+    math.fsum of the partials."""
+    ks = MomentumGrid(N).modes
+    if isinstance(p1, XYParams):
+        vals = log_abs_fk_xy(ks, p1, p2)
+    else:
+        vals = log_abs_fk_extising(ks, p1.g, p2.g)
+    return math.fsum([math.fsum(vals[lo:lo + (1 << 20)]) for lo in range(0, vals.size, 1 << 20)])
+
+
+class TestProductEngine:
+    @pytest.mark.parametrize("N", [2 * 8192 - 2, 2 * 8192, 2 * 8192 + 2, 3 * 2 * 8192 + 2])
+    @pytest.mark.parametrize("spec", [PathA(0.3, 1e-3, 0.5), PathB(0.4, 1e-3, 0.3),
+                                      PathD(1.5, 2e-4, 2.0), ExtIsingPath(1e-3, -0.6)], ids=repr)
+    def test_bit_identical_at_block_edges(self, spec, N):
+        p1, p2 = resolve_path(spec)
+        assert fidelity_product(p1, p2, N).lnF == _reference_lnF(p1, p2, N)
+
+    @pytest.mark.parametrize("N", [(1 << 21) - 2, (1 << 21) + 2])
+    def test_bit_identical_at_chunk_edges(self, N):
+        p1, p2 = resolve_path(PathA(0.01, 3e-7, -1.0))
+        assert fidelity_product(p1, p2, N).lnF == _reference_lnF(p1, p2, N)
+
+    @pytest.mark.parametrize("N", [100, 2 * 8192 + 2, 40002])
+    def test_gap_table_keeps_the_bits(self, N):
+        pairs = [resolve_path(PathA(g, 3e-4, 0.7)) for g in (1e-4, 0.03, 1.0, 1.7)]
+        table = GapTable.build(MomentumGrid(N), [p.g for pair in pairs for p in pair])
+        for p1, p2 in pairs:
+            with_table = fidelity_product(p1, p2, N, keep_per_mode=True, table=table)
+            plain = fidelity_product(p1, p2, N, keep_per_mode=True)
+            assert with_table.lnF == plain.lnF
+            assert np.array_equal(with_table.per_mode, plain.per_mode)
+
+    def test_gap_table_must_match(self):
+        p1, p2 = resolve_path(PathA(0.5, 1e-3, 0.5))
+        table = GapTable.build(MomentumGrid(100), [p1.g, p2.g])
+        with pytest.raises(DomainError, match="N = 100"):
+            fidelity_product(p1, p2, 102, table=table)
+        q1, q2 = resolve_path(PathA(0.5, 2e-3, 0.5))
+        with pytest.raises(DomainError, match="no field"):
+            fidelity_product(q1, q2, 100, table=table)
+
+    def test_exact_zero_past_the_first_block(self):
+        N = 20000
+        g = float(np.cos(MomentumGrid(N).modes)[9000])
+        res = fidelity_product(XYParams(g, 0.1), XYParams(g, -0.1), N)
+        assert res.exact_zero and res.lnF == -math.inf and res.F == 0.0
 
 
 class TestIntegral:

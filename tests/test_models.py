@@ -26,6 +26,7 @@ from spinfid import (
     kc_anisotropic,
     resolve_path,
 )
+from spinfid.models import MomentumGrid
 
 finite_small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -183,6 +184,21 @@ class TestModeKernels:
         p = XYParams(g, 0.0)
         with pytest.raises(DegenerateModeError):
             fk_xy(float(k[1]), p, p)
+
+
+class TestMomentumGrid:
+    def test_blocks_are_slices_of_the_modes(self):
+        grid = MomentumGrid(40002)
+        ks = grid.modes
+        assert ks.size == grid.size == 20001
+        for lo, hi in ((0, 8192), (8192, 16384), (16384, 20001), (5, 6)):
+            assert np.array_equal(grid.block(lo, hi), ks[lo:hi])
+
+    def test_size_bound(self):
+        assert MomentumGrid(MomentumGrid.MAX_N).N == 2 ** 40
+        for N in (MomentumGrid.MAX_N + 2, 10 ** 20):
+            with pytest.raises(DomainError, match="N <= 2\\^40"):
+                MomentumGrid(N)
 
 
 class TestKcAndXi:

@@ -19,6 +19,7 @@ from spinfid import (
     scaling_A,
     scaling_B,
 )
+from spinfid.models import MomentumGrid, log_abs_fk_xy
 
 
 class TestSurvival:
@@ -52,6 +53,18 @@ class TestExcitationDensity:
     def test_zero_shift(self):
         res = excitation_density(1.0, 0.0, 0.5, 1000)
         assert res.n_ex == 0.0 and res.survival == 1.0 and res.n_ex_integral == 0.0
+
+    @pytest.mark.parametrize("args", [(1.0, 1e-3, 0.5, 100_000), (0.3, -2e-4, -1.0, 16386),
+                                      (0.05, 1e-5, 2.5, 2000)])
+    def test_one_kernel_pass_keeps_both_sums(self, args):
+        # n_ex is math.fsum over every mode, the survival the product's own F^2
+        gamma, delta, c, N = args
+        p1, p2 = resolve_path(PathA(gamma, delta, c))
+        pex = -np.expm1(2.0 * log_abs_fk_xy(MomentumGrid(N).modes, p1, p2))
+        res = excitation_density(gamma, delta, c, N, keep_per_mode=True, with_integral=False)
+        assert res.n_ex == (2.0 / N) * math.fsum(pex)
+        assert res.survival == fidelity_product(p1, p2, N).F ** 2
+        assert np.array_equal(res.per_mode_pex[:, 1], pex)
 
     def test_scaling_function_agreement(self):
         delta, N = 1e-3, 100_000
