@@ -172,8 +172,9 @@ class PathA(PathSpec):
     c: float
 
     def resolve(self):
+        # 1 + (eps +- d), not (1 + eps) +- d: at c = +-1 one state lands on g = 1 exactly
         eps, d = self.eps, self.delta
-        return XYParams(1.0 + eps + d, self.gamma), XYParams(1.0 + eps - d, self.gamma)
+        return XYParams(1.0 + (eps + d), self.gamma), XYParams(1.0 + (eps - d), self.gamma)
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,9 @@ class PathD(PathSpec):
 
     def resolve(self):
         eps, d = self.eps, self.delta
-        return (XYParams(1.0 + eps + d, self.alpha * (eps + d)),
-                XYParams(1.0 + eps - d, self.alpha * (eps - d)))
+        # at c = 1 the lower state is the corner (1, 0) exactly, as on PathA
+        return (XYParams(1.0 + (eps + d), self.alpha * (eps + d)),
+                XYParams(1.0 + (eps - d), self.alpha * (eps - d)))
 
 
 @dataclass(frozen=True)

@@ -336,13 +336,18 @@ class TestIntegral:
 #       f = lnf(p1, p2)
 #       return quad(lambda k: 1 - mp.exp(2 * f(k)), splits(p1, p2)) / pi
 #   print(mp.nstr(fid_ref(*sf.resolve_path(sf.PathA(1.0, 1e-3, 0.5))), 20))  # and so on
+#   (a pair of parameter sets goes in as fid_ref(*pair))
 # mp.dps = 30 prints the same digits.
 FIDELITY_REFERENCES = [
     (PathA(1.0, 1e-3, 0.5), -0.0002175468723579738553),
     (PathA(0.6, 2e-3, -1.8), -0.00012367801637290726097),
     (PathB(0.4, 1e-3, 0.3), -0.00047698809681310830097),
     (PathB(-0.5, 1e-3, 2.5), -0.000051360679354731814449),
-    (PathD(1.5, 1e-3, 1.0), -8.3843335023458053797e-6),
+    (PathD(1.5, 1e-3, 1.0), -8.3385391976027093502e-6),
+    # the same path resolved as (1 + eps) +- delta, which put the lower state an ulp
+    # below the corner (1, 0), into a Fermi sea of width 1.5e-8: still a valid integral
+    ((XYParams(1.0019999999999998, 0.003), XYParams(0.9999999999999999, 0.0)),
+     -8.3843335023458053797e-6),
     (PathD(0.7, 1e-3, 3.0), -8.7912556287864766411e-7),
     (ExtIsingPath(1e-3, 0.6), -0.00099900069261438145979),
     (ExtIsingPath(1e-4, -2.0), -0.000026784922176928346658),
@@ -360,7 +365,16 @@ UNBRACKETED_REFERENCE = -0.96713011126013749851
 class TestHighPrecision:
     @pytest.mark.parametrize("spec, want", FIDELITY_REFERENCES, ids=repr)
     def test_fidelity_integral(self, spec, want):
-        assert abs(fidelity_integral(*resolve_path(spec)) - want) < 1e-13
+        pair = spec if isinstance(spec, tuple) else resolve_path(spec)
+        assert abs(fidelity_integral(*pair) - want) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_corner_state_integral_matches_the_product(self, alpha):
+        # with the lower state exactly at (1, 0) there is no Fermi sea for the
+        # integral to see and the grid to miss
+        pair = resolve_path(PathD(alpha, 1e-3, 1.0))
+        want = fidelity_integral(*pair)
+        assert fidelity_product(*pair, 10 ** 6).lnF / 10 ** 6 == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("args, want", N_EX_REFERENCES)
     def test_quench_k_integral(self, args, want):

@@ -55,6 +55,19 @@ class TestPaths:
         assert p2.g == pytest.approx(1.0, abs=1e-15)
         assert p2.gamma == 0.0
 
+    def test_states_put_on_a_critical_line_land_on_it(self):
+        # c = +-1 puts one state on g = 1 (PathA) or on the corner (1, 0) (PathD)
+        # exactly; (1 + eps) -+ delta missed it by an ulp for about a quarter of deltas
+        missed = []
+        for d in (s * x for x in np.logspace(-10.0, -1.0, 2000).tolist() for s in (1.0, -1.0)):
+            at_plus, at_minus = (1, 0) if d > 0 else (0, 1)  # the state whose eps -+ d is 0
+            corner = resolve_path(PathD(1.5, d, 1.0))[at_plus]
+            if (resolve_path(PathA(0.3, d, 1.0))[at_plus].g != 1.0
+                    or resolve_path(PathA(0.3, d, -1.0))[at_minus].g != 1.0
+                    or (corner.g, corner.gamma) != (1.0, 0.0)):
+                missed.append(d)
+        assert missed == []
+
     def test_ext_ising_pair(self):
         p1, p2 = resolve_path(ExtIsingPath(delta=0.01, c=0.5))
         assert p1 == ExtIsingParams(0.015)
