@@ -8,8 +8,8 @@ antiperiodic momentum grid,
 and is accumulated here in the log domain: near criticality F underflows a
 double well below N ~ 1e5, while ln F stays perfectly representable.  The
 product engine makes the modes block by block from their indices, evaluates
-the kernel on 8192 modes at a time (the block's temporaries stay in cache,
-and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
+the kernel one grid block of 8192 modes at a time (its temporaries stay in
+cache, and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
 exact_sum, an exactly rounded bucket sum equal to math.fsum, and sums the
 chunk partials with math.fsum.  A sweep that holds both fields fixed passes a
 GapTable of its N so the kernel skips the trigonometry.  The
@@ -53,7 +53,6 @@ from .models import (
 EXACT_ZERO_FLOOR = 1e-300
 _LOG_FLOOR = math.log(EXACT_ZERO_FLOOR)
 
-_BLOCK = 1 << 13  # modes per kernel call: the block's temporaries stay in cache
 _CHUNK = 1 << 20  # modes per exact partial sum; the partials are summed once more
 
 # exact_sum: the fraction bits split off a double's top half, the largest
@@ -65,7 +64,7 @@ _SUM_MIN, _SUM_MAX, _SUM_BLOCK = 1024, 1 << 26, 1 << 15
 
 
 def exact_sum(x: np.ndarray) -> float:
-    """Exactly rounded sum of a 1-d float64 array; always equal to math.fsum(x).
+    """Exactly rounded sum of the float64 values of x; always equal to math.fsum(x).
 
     After Zhu & Hayes' HybridSum (SIAM J. Sci. Comput. 31, 2981 (2009)):
     each value is split into a top half carrying its sign, exponent and top
@@ -76,6 +75,7 @@ def exact_sum(x: np.ndarray) -> float:
     math.fsum of the bucket sums rounds the exact total once.  Non-finite or
     near-overflow input, and arrays too short to pay, go to math.fsum itself.
     """
+    x = np.ravel(np.asarray(x, dtype=np.float64))
     if not _SUM_MIN <= x.size <= _SUM_MAX:
         return math.fsum(x)
     high, low = np.zeros(2048), np.zeros(2048)
@@ -120,8 +120,8 @@ def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid,
                     table: Optional[GapTable] = None) -> Iterator[np.ndarray]:
     """ln|f_k| over the grid in ascending k, one array per _CHUNK modes.
 
-    Each chunk is filled by kernel calls on _BLOCK modes at a time, with the
-    modes made from their indices, so no array of all N/2 modes is held.
+    Each chunk is filled by one kernel call per grid block, with the modes
+    made from their indices, so no array of all N/2 modes is held.
     """
     if table is not None and table.grid != grid:
         raise DomainError(f"gap table is for N = {table.grid.N}, not N = {grid.N}")
@@ -129,10 +129,8 @@ def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid,
     for lo in range(0, grid.size, _CHUNK):
         hi = min(lo + _CHUNK, grid.size)
         vals = np.empty(hi - lo)
-        for b in range(lo, hi, _BLOCK):
-            e = min(b + _BLOCK, hi)
-            rows = None if table is None else table.rows(p1, p2, b, e)
-            vals[b - lo:e - lo] = kernel(grid.block(b, e), rows)
+        for b, e, k in grid.blocks(lo, hi):
+            vals[b - lo:e - lo] = kernel(k, None if table is None else table.rows(p1, p2, b, e))
         yield vals
 
 
@@ -155,8 +153,8 @@ def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
                      table: Optional[GapTable] = None) -> FidelityResult:
     """Exact fidelity via the momentum product, log-domain, exactly rounded summation.
 
-    ln F = sum_{k>0} ln|f_k|, with the kernel evaluated on _BLOCK modes at a
-    time, each chunk of _CHUNK modes summed exactly (exact_sum, equal to
+    ln F = sum_{k>0} ln|f_k|, with the kernel evaluated one grid block
+    (MomentumGrid.BLOCK modes) at a time, each chunk of _CHUNK modes summed exactly (exact_sum, equal to
     math.fsum) and the chunk partials summed by math.fsum, so the result does
     not depend on the block size and repeated runs are bit-identical.  Any
     mode with |f_k| below EXACT_ZERO_FLOOR makes the product an exact zero
@@ -164,8 +162,9 @@ def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
     fields, saves the trigonometry of a sweep that varies only anisotropies.
     """
     grid = MomentumGrid(N)
-    chunks = list(log_mode_chunks(p1, p2, grid, table)) if keep_per_mode else \
-        log_mode_chunks(p1, p2, grid, table)
+    chunks = log_mode_chunks(p1, p2, grid, table)
+    if keep_per_mode:
+        chunks = list(chunks)
     res = sum_log_modes(chunks, grid.N)
     if not keep_per_mode:
         return res

@@ -263,10 +263,12 @@ class MomentumGrid:
     """
     N: int
 
-    # Far past any size a product can be evaluated at (N = 1e7 takes about a
+    # Far past any size a product can be evaluated at (N = 1e7 takes under a
     # second), and small enough that every index 2n + 1 and N itself are
     # exact in float64, so each mode is one correctly rounded expression.
     MAX_N = 1 << 40
+    # modes per block: a kernel call on one block keeps its temporaries in cache
+    BLOCK = 1 << 13
 
     def __post_init__(self):
         try:
@@ -295,6 +297,13 @@ class MomentumGrid:
     def modes(self) -> np.ndarray:
         return self.block(0, self.size)
 
+    def blocks(self, lo: int = 0, hi: int | None = None):
+        """(start, stop, modes) of consecutive blocks of at most BLOCK modes over lo .. hi - 1."""
+        hi = self.size if hi is None else hi
+        for b in range(lo, hi, self.BLOCK):
+            e = min(b + self.BLOCK, hi)
+            yield b, e, self.block(b, e)
+
 
 @dataclass(frozen=True)
 class GapTable:
@@ -308,16 +317,14 @@ class GapTable:
     """
     grid: MomentumGrid
     sin_k: np.ndarray
-    terms: dict
+    terms: dict[float, np.ndarray]
 
     @classmethod
-    def build(cls, grid: MomentumGrid, fields_g, block: int = 8192) -> GapTable:
+    def build(cls, grid: MomentumGrid, fields_g) -> GapTable:
         gs = sorted(set(fields_g))
         sin_k = np.empty(grid.size)
         terms = {g: np.empty(grid.size) for g in gs}
-        for lo in range(0, grid.size, block):
-            hi = min(lo + block, grid.size)
-            k = grid.block(lo, hi)
+        for lo, hi, k in grid.blocks():
             ck, s2 = np.cos(k), np.sin(0.5 * k) ** 2
             sin_k[lo:hi] = np.sin(k)
             for g in gs:
