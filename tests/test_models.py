@@ -12,6 +12,7 @@ from spinfid import (
     DomainError,
     ExtIsingParams,
     ExtIsingPath,
+    MomentumGrid,
     PathA,
     PathB,
     PathC,
@@ -26,7 +27,6 @@ from spinfid import (
     kc_anisotropic,
     resolve_path,
 )
-from spinfid.models import MomentumGrid
 
 finite_small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 

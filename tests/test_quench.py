@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinfid import (
     DomainError,
+    MomentumGrid,
     PathA,
     XYParams,
     excitation_density,
@@ -19,7 +20,7 @@ from spinfid import (
     scaling_A,
     scaling_B,
 )
-from spinfid.models import MomentumGrid, log_abs_fk_xy
+from spinfid.models import log_abs_fk_xy
 
 
 class TestSurvival:
