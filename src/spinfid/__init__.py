@@ -75,7 +75,7 @@ from .crossover import (
     sweep_lnF,
 )
 from .quench import QuenchResult, excitation_density, instantaneous_survival, kz_survival_estimate
-from .verify import ErrorSample, residual_pathA, residual_pathB
+from .verify import ErrorSample, residual, residual_pathA, residual_pathB
 
 # the dense oracle loads on first use (PEP 562): no command-line run needs it
 _ORACLE_NAMES = frozenset({"SpinState", "dense_hamiltonian", "ed_fidelity", "ed_ground_state",

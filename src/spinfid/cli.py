@@ -53,7 +53,7 @@ from .scaling import (
     scaling_B,
     scaling_dB_dc_near1,
 )
-from .verify import residual_pathA, residual_pathB
+from .verify import residual
 
 _SCALING_FUNCS: dict[str, Callable[[float], float]] = {
     "A": scaling_A,
@@ -142,7 +142,6 @@ def _log_range(cfg: dict) -> list[float]:
 
 
 _PATHS: dict[str, type] = {"A": PathA, "B": PathB, "C": PathC, "D": PathD, "ext": ExtIsingPath}
-_VERIFY_PATHS: dict[str, type] = {"pathA": PathA, "pathB": PathB}
 _PATH_FLAGS = tuple(dict.fromkeys(f.name for cls in _PATHS.values() for f in fields(cls)))
 _C_RANGE = ("c",)  # the path quantity a --c-range grid supplies
 
@@ -215,10 +214,9 @@ def _quench_row(args: tuple[PathA, int, bool]) -> dict:
     return row
 
 
-def _verify_row(args: tuple[str, dict, float]) -> dict:
-    which, flags, c = args
-    # residual_pathA / residual_pathB, looked up in this module at call time
-    s = globals()[f"residual_{which}"](**flags, c=c)
+def _verify_row(args: tuple[type, dict, float]) -> dict:
+    path, flags, c = args
+    s = residual(path(**flags, c=c))
     return {n: getattr(s, n) for n in (*flags, "c", "E", "normalized")}
 
 
@@ -275,8 +273,9 @@ def _cmd_quench(cfg: dict) -> tuple[list[dict], dict]:
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
-    flags = _path_flags(cfg, f"verify {cfg['which']}", _VERIFY_PATHS[cfg["which"]], _C_RANGE)
-    rows = _map_ordered(_verify_row, [(cfg["which"], flags, c) for c in _c_grid(cfg["c_range"])],
+    path = _PATHS[cfg["which"].removeprefix("path")]
+    flags = _path_flags(cfg, f"verify {cfg['which']}", path, _C_RANGE)
+    rows = _map_ordered(_verify_row, [(path, flags, c) for c in _c_grid(cfg["c_range"])],
                         cfg["parallelism"])
     return rows, {}
 
@@ -422,8 +421,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("verify", help="residuals of the closed-form rates")
     common(p)
-    p.add_argument("--which", choices=list(_VERIFY_PATHS), required=True)
-    _add_path_flags(p, [(path, _C_RANGE) for path in _VERIFY_PATHS.values()])
+    p.add_argument("--which", choices=[f"path{name}" for name in _PATHS], required=True)
+    _add_path_flags(p, [(path, _C_RANGE) for path in _PATHS.values()])
     p.add_argument("--c-range", required=True)
 
     return ap, sub.choices

@@ -213,96 +213,97 @@ class ScalingPrediction:
     N: int = 0
 
 
-_LN2 = math.log(2.0)
+_CORNER_EPS = 0.1  # PathC has the multicritical corner's universal rate up to this |eps|
+
+
+def closed_form_rate(spec: PathSpec) -> tuple[float, float, float]:
+    """The smooth thermodynamic-limit rate lim ln F / N of a path, as (rate, order, weight).
+
+    The one place each path's rate is written.  It leaves O(order / weight) of
+    the exact rate integral, and verify.residual normalizes by that.
+    """
+    spec = check_path(spec)
+    d, c, e = abs(spec.delta), spec.c, abs(spec.eps)
+    if isinstance(spec, PathA):
+        if spec.gamma == 0.0:
+            raise DomainError("the Ising-crossing rate divides by gamma: needs gamma != 0")
+        return -d * scaling_A(c) / spec.gamma, spec.delta ** 2, spec.gamma ** 3
+    if isinstance(spec, PathB) or isinstance(spec, PathC) and e <= _CORNER_EPS:
+        return -2.0 * d * scaling_A(c), spec.delta ** 2, 1.0
+    if isinstance(spec, PathC):
+        return -spec.delta ** 2 / (8.0 * e * (1.0 + e) ** 2), spec.delta ** 4, 1.0
+    if isinstance(spec, PathD):
+        a2 = spec.alpha ** 2
+        return -d ** 1.5 * a2 * scaling_A_mcp(c) + spec.delta ** 2 * a2 / 4.0, d ** 2.5, 1.0
+    if isinstance(spec, ExtIsingPath):
+        return -d * scaling_A_mps(c), spec.delta ** 2, 1.0
+    raise DomainError(f"unknown path spec {spec!r}")
 
 
 def predict_lnF(spec: PathSpec, N: int) -> ScalingPrediction:
-    """Dispatch the thermodynamic-limit prediction for a path at size N.
+    """The closed-form rate at size N, with its validity ratios and finite-N prefactor.
 
-    Smooth decay rates: PathA -|d| A(c) / gamma; PathB -2 |d| A(c); PathC
-    -2 |d| A(c) near the multicritical corner and the nonuniversal
-    -d^2 / (8|e|(1+|e|)^2) away from it; PathD -|d|^{3/2} a^2 A_mcp(c)
-    + d^2 a^2 / 4; extended chain -|d| A_mps(c).  Discretization corrections
-    (the sqrt(2) shift, oscillation prefactors) are folded into lnF_per_site.
+    Each branch picks the prefactor (sqrt(2), an oscillation amplitude, or 1);
+    the tail folds its log / N into lnF_per_site.
     """
     N = MomentumGrid(N).N
-    spec = check_path(spec)
-    d = abs(spec.delta)
-    c = spec.c
-    a = abs(c)
-    eps = spec.eps
+    rate = closed_form_rate(spec)[0]
+    d, c, a, eps = abs(spec.delta), spec.c, abs(spec.c), spec.eps
+    prefactor, oscillatory = 1.0, False
 
     if isinstance(spec, PathA):
         gamma = spec.gamma
-        if gamma == 0.0:
-            raise DomainError("the Ising-crossing rate divides by gamma: needs gamma != 0")
-        rate = -d * scaling_A(c) / gamma
         validity = {
             "N_delta_over_gamma": N * d / gamma,
             "delta_over_gamma2": d / gamma ** 2,
             "eps_over_gamma2": abs(eps) / gamma ** 2,
             "N_over_corr_length": N * d * abs(1.0 - a) / gamma,
         }
+        formula = "ising_crossing_smooth"
         if a < 1.0:
-            return ScalingPrediction(rate + _LN2 / (2.0 * N), math.sqrt(2.0), False,
-                                     validity, "ising_crossing_sqrt2", N)
-        return ScalingPrediction(rate, 1.0, False, validity, "ising_crossing_smooth", N)
-
-    if isinstance(spec, PathB):
-        rate = -2.0 * d * scaling_A(c)
-        kc = kc_anisotropic(spec.g)
+            formula, prefactor = "ising_crossing_sqrt2", math.sqrt(2.0)
+    elif isinstance(spec, PathB):
         validity = {
             "N_over_corr_length": N * d * abs(1.0 - a),
             "delta_margin": d / math.sqrt(1.0 - spec.g ** 2),
             "eps_margin": abs(eps) / math.sqrt(1.0 - spec.g ** 2),
         }
+        formula = "anisotropic_crossing_smooth"
         if a < 1.0:
-            osc = oscillation_factor(kc, N)
-            lnosc = math.log(osc) if osc > 0.0 else -math.inf
-            return ScalingPrediction(rate + lnosc / N, osc, True,
-                                     validity, "anisotropic_crossing_oscillating", N)
-        return ScalingPrediction(rate, 1.0, False, validity, "anisotropic_crossing_smooth", N)
-
-    if isinstance(spec, PathC):
+            formula, prefactor, oscillatory = ("anisotropic_crossing_oscillating",
+                                               oscillation_factor(kc_anisotropic(spec.g), N), True)
+    elif isinstance(spec, PathC):
         validity = {"eps": abs(eps), "delta_over_eps": d / abs(eps) if eps != 0.0 else math.inf}
-        if abs(eps) <= 0.1:
-            # multicritical corner dominates while |eps| << 1
-            rate = -2.0 * d * scaling_A(c)
+        formula = "critical_line_nonuniversal"
+        if abs(eps) <= _CORNER_EPS:
+            formula = "critical_line_universal"
             if a < 1.0:
-                return ScalingPrediction(rate + _LN2 / (2.0 * N), math.sqrt(2.0), False,
-                                         validity, "critical_line_universal_sqrt2", N)
-            return ScalingPrediction(rate, 1.0, False, validity, "critical_line_universal", N)
-        rate = -spec.delta ** 2 / (8.0 * abs(eps) * (1.0 + abs(eps)) ** 2)
-        return ScalingPrediction(rate, 1.0, False, validity, "critical_line_nonuniversal", N)
-
-    if isinstance(spec, PathD):
-        al = spec.alpha
-        amcp = scaling_A_mcp(c)
-        rate = -d ** 1.5 * al ** 2 * amcp + spec.delta ** 2 * al ** 2 / 4.0
+                formula, prefactor = "critical_line_universal_sqrt2", math.sqrt(2.0)
+    elif isinstance(spec, PathD):
         validity = {
             "N_sqrt_delta": N * math.sqrt(d),
-            "delta_over_16A2": d / (16.0 * amcp ** 2),
-            "N_delta2_term": N * spec.delta ** 2 * al ** 2 / 4.0,
+            "delta_over_16A2": d / (16.0 * scaling_A_mcp(c) ** 2),
+            "N_delta2_term": N * spec.delta ** 2 * spec.alpha ** 2 / 4.0,
         }
-        return ScalingPrediction(rate, 1.0, False, validity, "multicritical_paramagnetic", N)
-
-    if isinstance(spec, ExtIsingPath):
-        rate = -d * scaling_A_mps(c)
+        formula = "multicritical_paramagnetic"
+    else:  # ExtIsingPath, the last path closed_form_rate accepts
         validity = {
             "N_eps_plus_delta": N * abs(eps + spec.delta),
             "N_eps_minus_delta": N * abs(eps - spec.delta),
         }
+        formula = "extended_ising_smooth"
         if a < 1.0:
-            osc = 2.0 * abs(math.cos(d * N * math.sqrt(1.0 - c * c)))
-            lnosc = math.log(osc) if osc > 0.0 else -math.inf
-            return ScalingPrediction(rate + lnosc / N, osc, True,
-                                     validity, "extended_ising_oscillating", N)
-        if a == 1.0:
-            return ScalingPrediction(rate + _LN2 / (2.0 * N), math.sqrt(2.0), False,
-                                     validity, "extended_ising_sqrt2", N)
-        return ScalingPrediction(rate, 1.0, False, validity, "extended_ising_smooth", N)
+            formula, prefactor, oscillatory = ("extended_ising_oscillating",
+                                               2.0 * abs(math.cos(d * N * math.sqrt(1.0 - c * c))),
+                                               True)
+        elif a == 1.0:
+            formula, prefactor = "extended_ising_sqrt2", math.sqrt(2.0)
 
-    raise DomainError(f"unknown path spec {spec!r}")
+    if oscillatory:
+        rate += (math.log(prefactor) if prefactor > 0.0 else -math.inf) / N
+    elif prefactor != 1.0:  # the sqrt(2) lift
+        rate += math.log(2.0) / (2.0 * N)
+    return ScalingPrediction(rate, prefactor, oscillatory, validity, formula, N)
 
 
 def susceptibility_smallsystem(spec: PathSpec, N: int) -> float:

@@ -14,13 +14,12 @@ is a proof device, not an algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import DomainError
 from .fidelity import fidelity_integral
-from .models import PathA, PathB, resolve_path
-from .scaling import scaling_A
+from .models import PathA, PathB, PathSpec, resolve_path
+from .scaling import closed_form_rate
 
 #: quadrature tolerance for residual runs; E itself is O(delta^2), so the
 #: default integral tolerance would drown it for small shifts.
@@ -40,24 +39,24 @@ class ErrorSample:
     normalized: float
     gamma: Optional[float] = None
     g: Optional[float] = None
+    alpha: Optional[float] = None
+
+
+def residual(spec: PathSpec, tol: float = RESIDUAL_QUAD_TOL) -> ErrorSample:
+    """Residual of the path's closed-form rate against the exact rate integral."""
+    rate, order, weight = closed_form_rate(spec)  # first: PathA at gamma = 0 has no rate
+    E = fidelity_integral(*resolve_path(spec), tol=tol) - rate
+    return ErrorSample(E=E, normalized=E * weight / order,
+                       **{f.name: getattr(spec, f.name) for f in fields(spec)})
 
 
 def residual_pathA(gamma: float, delta: float, c: float,
                    tol: float = RESIDUAL_QUAD_TOL) -> ErrorSample:
     """Residual of the Ising-crossing rate -|delta| A(c) / gamma."""
-    if gamma == 0.0:
-        raise DomainError("the Ising-crossing rate divides by gamma: needs gamma != 0")
-    p1, p2 = resolve_path(PathA(gamma, delta, c))
-    exact = fidelity_integral(p1, p2, tol=tol)
-    E = exact - (-abs(delta) * scaling_A(c) / gamma)
-    return ErrorSample(delta=delta, c=c, E=E,
-                       normalized=E * gamma ** 3 / delta ** 2, gamma=gamma)
+    return residual(PathA(gamma, delta, c), tol)
 
 
 def residual_pathB(g: float, delta: float, c: float,
                    tol: float = RESIDUAL_QUAD_TOL) -> ErrorSample:
     """Residual of the anisotropic-crossing rate -2 |delta| A(c)."""
-    p1, p2 = resolve_path(PathB(g, delta, c))
-    exact = fidelity_integral(p1, p2, tol=tol)
-    E = exact - (-2.0 * abs(delta) * scaling_A(c))
-    return ErrorSample(delta=delta, c=c, E=E, normalized=E / delta ** 2, g=g)
+    return residual(PathB(g, delta, c), tol)
