@@ -14,7 +14,8 @@ Numbers are read in two places: `_numbers` reads the `:` grids and the `,`
 list, and argparse types made by `_arg` read the scalar flags.  Real numbers
 must be finite; counts and steps are whole; `--N` is even and >= 2,
 `--per-decade` >= 1 and `--parallelism` >= 0.  Anything else exits 2, as
-does a chain length the momentum grid refuses (above 2^40).
+do a chain length the momentum grid refuses (above 2^40) and a grid of more
+than MAX_GRID_POINTS = 10^5 points, counted before it is built.
 """
 
 from __future__ import annotations
@@ -122,10 +123,20 @@ _NUMBER = _arg(float, math.isfinite, "a finite number")
 _EVEN_SIZE = _arg(int, lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
 
 
+#: the most points a grid flag may ask for, checked before the grid is built
+MAX_GRID_POINTS = 10 ** 5
+
+
+def _bounded(points: float, name: str) -> None:
+    _require(points <= MAX_GRID_POINTS,
+             f"{name} asks for {points:g} points; a grid holds at most {MAX_GRID_POINTS}")
+
+
 def _c_grid(text: str) -> list[float]:
     """The --c-range grid start:stop:count, count >= 2 points."""
     lo, hi, n = _numbers(text, "--c-range", "start:stop:count", (float, float, int), (3,))
     _require(n >= 2, "--c-range needs count >= 2")
+    _bounded(n, "--c-range")
     return np.linspace(lo, hi, n).tolist()
 
 
@@ -135,9 +146,12 @@ def _log_range(cfg: dict) -> list[float]:
                               (float, float, int), (2, 3))
     _require(0.0 < lo < hi, "--range needs 0 < lo < hi")
     if not count:
-        return log_grid(lo, hi, cfg["per_decade"] or 20).tolist()
+        per_decade = cfg["per_decade"] or 20
+        _bounded(math.log10(hi / lo) * per_decade + 1, "--range")  # log_grid's count
+        return log_grid(lo, hi, per_decade).tolist()
     _require(cfg["per_decade"] is None, "--per-decade is not read when --range gives a count")
     _require(count[0] >= 3, "--range needs count >= 3")
+    _bounded(count[0], "--range")
     return np.logspace(math.log10(lo), math.log10(hi), count[0]).tolist()
 
 
@@ -251,6 +265,7 @@ def _cmd_fidelity(cfg: dict) -> tuple[list[dict], dict]:
 def _cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
     lo, hi, step = _numbers(cfg["N_range"], "--N-range", "start:stop:step", (int, int, int), (3,))
     _require(0 < lo <= hi and step > 0, "--N-range needs 0 < start <= stop and step > 0")
+    _bounded((hi - lo) // step + 1, "--N-range")  # len(range(...)), which overflows past 2^63
     Ns = [n for n in range(lo, hi + 1, step) if n % 2 == 0]
     _require(len(Ns) >= 1, "--N-range contains no even sizes")
     spec = build_path_spec(cfg)

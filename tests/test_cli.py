@@ -11,8 +11,12 @@ import pytest
 
 from spinfid import (
     DomainError,
+    ExtIsingPath,
     NumericsError,
+    PathC,
+    PathD,
     gamma_crossing,
+    residual,
     shift_crossing,
     size_crossing,
     sweep_lnF,
@@ -101,6 +105,32 @@ class TestBasics:
         rows = data_section(text).strip().splitlines()
         assert rows[0] == "gamma,delta,c,E,normalized"
         assert abs(float(rows[1].split(",")[4])) < 0.25
+
+    @pytest.mark.parametrize("which, flags, path", [
+        ("pathC", [], lambda c: PathC(1e-3, c)),
+        ("pathD", ["--alpha", "2"], lambda c: PathD(2.0, 1e-3, c)),
+        ("pathext", [], lambda c: ExtIsingPath(1e-3, c)),
+    ])
+    def test_verify_rows_on_the_other_paths(self, which, flags, path, tmp_path):
+        code, text = run_cli(["verify", "--which", which, *flags, "--delta", "1e-3",
+                              "--c-range", "1:2:3"], tmp_path)
+        assert code == 0
+        header, *rows = data_section(text).strip().splitlines()
+        assert header == ",".join([*(f[2:] for f in flags[::2]), "delta", "c", "E", "normalized"])
+        for row, c in zip(rows, (1.0, 1.5, 2.0), strict=True):
+            s = residual(path(c))
+            assert row.split(",")[-2:] == [cli._fmt(s.E), cli._fmt(s.normalized)]
+
+    def test_verify_which_names_every_path(self, capsys):
+        assert cli.main(["verify", "--which", "pathE", "--delta", "1e-3",
+                         "--c-range", "1:2:3"]) == 2
+        err = capsys.readouterr().err
+        assert all(f"path{name}" in err for name in ("A", "B", "C", "D", "ext")), err
+
+    def test_verify_path_d_needs_alpha(self, capsys):
+        assert cli.main(["verify", "--which", "pathD", "--delta", "1e-3",
+                         "--c-range", "1:2:3"]) == 2
+        assert capsys.readouterr().err == "spinfid: invalid configuration: verify pathD needs --alpha\n"
 
 
 def log_range(lo, hi, n):
@@ -420,12 +450,28 @@ class TestNumbers:
         ["fidelity", *PATH_A, "--N", "0"],
         ["fidelity", *PATH_A, "--N", "100000000000000000000"],
         ["scaling", "--function", "A", "--c-range", "0:1:3", "--parallelism", "-1"],
+        # grids past cli.MAX_GRID_POINTS, which once died of a MemoryError while being built
+        ["sweep", *PATH_A, "--N-range", "2:2000000000:2"],
+        ["scaling", "--function", "A", "--c-range", "0:1:2000000000"],
+        ["crossover", "--scan", "gamma", "--N", "100", "--delta", "1e-3", "--c", "1",
+         "--range", "1e-3:1:2000000000"],
+        ["crossover", "--scan", "gamma", "--N", "100", "--delta", "1e-3", "--c", "1",
+         "--range", "1e-3:1", "--per-decade", "2000000000"],
+        ["sweep", *PATH_A, "--N-range", f"2:{10 ** 300}:2"],  # past len(range(...))
     ])
     def test_rejected_input_exits_2_without_traceback(self, argv, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("usage:") or err.startswith("spinfid: invalid configuration")
+
+    def test_grid_bound_admits_its_own_size(self, tmp_path):
+        argv = ["scaling", "--function", "A_mps", "--c-range", f"0:2:{cli.MAX_GRID_POINTS}"]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        assert len(data_section(text).splitlines()) == cli.MAX_GRID_POINTS + 1  # and a header
+        argv[-1] = f"0:2:{cli.MAX_GRID_POINTS + 1}"
+        assert cli.main(argv) == 2
 
 
 class TestExitCodes:
