@@ -449,12 +449,9 @@ def log_abs_fk_extising(k, g1: float, g2: float):
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
     p, q = _pq_extising(k, g1, g2)
     _raise_if_degenerate(p, q)
-    # |f| = |p| / hypot(p, q), so ln|f| = -(1/2) log1p((q/p)^2)
-    out = np.empty_like(p)
-    big = np.abs(p) > 0.0
-    out[big] = -0.5 * np.log1p((q[big] / p[big]) ** 2)
-    out[~big] = -np.inf
-    return out
+    # |f| = |p| / hypot(p, q), so ln|f| = -(1/2) log1p((q/p)^2); p = 0 gives -inf
+    with np.errstate(divide="ignore"):
+        return -0.5 * np.log1p((q / p) ** 2)
 
 
 def kc_anisotropic(g: float) -> float:

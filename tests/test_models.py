@@ -1,6 +1,7 @@
 """Paths, dispersions, mode kernels, and correlation length."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,27 @@ class TestModeKernels:
         lo = fk_extising(k0 * 0.98, p1.g, p2.g)
         hi = fk_extising(k0 * 1.02, p1.g, p2.g)
         assert lo < 0.0 < hi
+
+    def test_extising_log_kernel_is_minus_inf_exactly_where_p_vanishes(self):
+        # ulps around the kernel zero, where p_k rounds to exactly 0 on some of them
+        from spinfid.models import _pq_extising, log_abs_fk_extising
+        rng = np.random.default_rng(4)
+        hits = 0
+        while hits < 5:
+            g1, g2 = rng.uniform(0.05, 1.5), -rng.uniform(0.05, 1.5)
+            zero = ExtIsingParams(g1).kernel_zero(ExtIsingParams(g2))
+            if zero is None:
+                continue
+            k = zero[1] + np.arange(-64, 65) * np.spacing(zero[1])
+            p, q = _pq_extising(k, g1, g2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = log_abs_fk_extising(k, g1, g2)
+            nonzero = p != 0.0
+            assert np.array_equal(np.isneginf(out), ~nonzero)
+            assert out[nonzero] == pytest.approx(np.log(np.abs(fk_extising(k, g1, g2)[nonzero])),
+                                                 rel=1e-12)
+            hits += int(not nonzero.all())
 
     def test_degenerate_mode_raises(self):
         # field pinned to the bit-exact cosine of the probe momentum
