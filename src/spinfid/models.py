@@ -29,9 +29,11 @@ reads, validates them when built, and resolve()s to the ordered pair of
 parameter sets.  Two type dispatches stay outside on purpose: the kernel
 choice in fidelity._log_kernel, so that every kernel call goes through the
 names log_abs_fk_xy / log_abs_fk_extising of the fidelity module, which the
-benchmark's trace layer wraps; and the formula chains of
-scaling.predict_lnF and susceptibility_smallsystem, the one place each path
-meets its scaling function, which a table keyed by class would only lengthen.
+benchmark's trace layer wraps; and the formula chains of scaling, which a
+table keyed by class would only lengthen: closed_form_rate, where each path's
+smooth rate and residual order are written once, predict_lnF, which adds
+each path's validity ratios and finite-N prefactor, and
+susceptibility_smallsystem.
 """
 
 from __future__ import annotations

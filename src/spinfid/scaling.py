@@ -3,10 +3,27 @@
 The thermodynamic-limit log-fidelity per site of every path reduces to one of
 a small family of scaling functions:
 
-    A(c)      Ising-line crossing; rate -|delta| A(c) / gamma
-    A_mcp(c)  multicritical approach; rate -|delta|^{3/2} alpha^2 A_mcp(c)
-    A_mps(c)  extended Ising chain;  rate -|delta| A_mps(c)
+    A(c)      Ising-line crossing (PathA, PathB, PathC near the corner)
+    A_mcp(c)  multicritical approach (PathD)
+    A_mps(c)  extended Ising chain (ExtIsingPath)
     B(c)      excited-quasiparticle density n_ex = |delta| B(c) / gamma after a sudden move
+
+closed_form_rate writes each path's smooth rate lim ln F / N once, with the
+order of the residual E it leaves of the exact rate integral (d = delta,
+eps = c|d|; verify.residual measures E):
+
+    path          rate                                       E of order
+    PathA         -|d| A(c) / gamma                          d^2 / gamma^3
+    PathB         -2|d| A(c)                                 d^2
+    PathC         -2|d| A(c) while |eps| <= 0.1 (universal)  d^2
+                  -d^2 / (8|eps|(1+|eps|)^2) beyond          d^4
+    PathD         -|d|^{3/2} alpha^2 A_mcp(c) + d^2 alpha^2/4  |d|^{5/2}
+    ExtIsingPath  -|d| A_mps(c)                              d^2
+
+predict_lnF reads that rate and adds the finite-N prefactor of its path: the
+sqrt(2) lift (PathA and universal PathC for |c| < 1, the extended chain at
+|c| = 1), the oscillation amplitude (PathB and the extended chain for
+|c| < 1), or none.
 
 A and B are piecewise combinations of complete elliptic integrals with
 arguments c1 = -4|c|/(|c|-1)^2 and c2 = ((|c|+1)/(|c|-1))^2; both stay

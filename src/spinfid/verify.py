@@ -4,12 +4,26 @@ The closed forms drop terms beyond the leading universal order; the leftover
 
     E = (1/2 pi) int_0^pi ln f_k dk  -  (closed-form rate)
 
-measures everything the approximation discards.  For the Ising crossing E
-scales as delta^2 / gamma^3 with a normalized magnitude bounded by about 0.2
-(hard bound 0.4 for delta/gamma^2 < 0.2); for the anisotropic crossing E is
-about 0.25 delta^2 independently of the transverse field.  Only the total
-residual is computed here; the analytic decomposition that proves the bound
-is a proof device, not an algorithm.
+measures everything the approximation discards.  residual(spec) computes it
+on any path, with the rate and its order from scaling.closed_form_rate, and
+normalizes E by that order.  Normalized values, at tol 1e-13 over
+|delta| = 1e-4 ... 1e-2 where not said otherwise:
+
+    PathA         E gamma^3 / delta^2   magnitude below about 0.2 (hard bound
+                                        0.4 for delta/gamma^2 < 0.2)
+    PathB         E / delta^2           about 0.25, independent of the field g
+    PathC         E / delta^2           0.243 ... 0.250 while |eps| <= 0.1, for
+                                        c in {0, 0.5, 2}; 0.25 as delta -> 0
+                  E / delta^4           -2.90 at eps = 0.2, -0.170 at eps = 0.5:
+                                        the non-universal rate is exact at delta^2
+    PathD         E / |delta|^{5/2}     -0.148 ... -0.150 at alpha = 1, c = 1;
+                                        -0.187 ... -0.189 at alpha = 1, c = 1.5;
+                                        -0.177 ... -0.254 at alpha = 2, c = 1.5;
+                                        -0.0555 at alpha = 0.5, c = 1.5
+    ExtIsingPath  E / delta^2           0.971 ... 1.000 for c in {0, 0.5, 2}
+
+Only the total residual is computed here; the analytic decomposition that
+proves a bound is a proof device, not an algorithm.
 """
 
 from __future__ import annotations
@@ -28,10 +42,14 @@ RESIDUAL_QUAD_TOL = 1e-13
 
 @dataclass(frozen=True)
 class ErrorSample:
-    """One residual evaluation.
+    """One residual evaluation on one path.
 
-    normalized is E gamma^3 / delta^2 for the Ising crossing and E / delta^2
-    for the anisotropic one; gamma / g is filled according to the path.
+    E is the exact rate integral minus the path's closed-form rate, and
+    normalized is E divided by the order that rate leaves (the module
+    docstring lists it per path: E gamma^3 / delta^2 on PathA, E / delta^4
+    on PathC's non-universal branch, E / |delta|^{5/2} on PathD, E / delta^2
+    elsewhere).  delta and c are the path's; gamma, g and alpha are copied
+    from the path fields of that name and stay None on paths without one.
     """
     delta: float
     c: float
