@@ -389,18 +389,15 @@ def _raise_if_degenerate(p: np.ndarray, q: np.ndarray) -> None:
             "the mode overlap factor is undefined")
 
 
-def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple[np.ndarray, ...] | None = None):
-    """ln f_k for the XY pair, computed without cancellation.
+def log_overlap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """ln f of one mode from its kernels p and q (arrays of one shape), without cancellation.
 
-    f_k^2 = (S + p_k) / (2 S) with S = sqrt(p_k^2 + q_k^2).  For p_k > 0 the
-    direct form loses all digits once f_k is close to 1, so the equivalent
-    ln f_k = (1/2) log1p(-q_k^2 / (2 S (S + p_k))) is used there; for
-    p_k <= 0 the factored form (S + p_k) = q_k^2 / (S - p_k) is exact.
-    Returns -inf where f_k = 0.  rows, from GapTable.rows for these k,
-    replaces the trigonometry with the table's bit-identical entries.
+    f^2 = (S + p) / (2 S) with S = sqrt(p^2 + q^2).  For p > 0 the direct form
+    loses all digits once f is close to 1, so the equivalent
+    ln f = (1/2) log1p(-q^2 / (2 S (S + p))) is used there; for p <= 0 the
+    factored form (S + p) = q^2 / (S - p) is exact.  Returns -inf where f = 0
+    (q = 0 with p < 0) and raises DegenerateModeError where p = q = 0.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    p, q = _pq_xy(k, p1, p2, rows)
     _raise_if_degenerate(p, q)
     s = np.hypot(p, q)
     pos = p > 0.0
@@ -420,6 +417,18 @@ def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple[np.ndarray, ...] | 
         with np.errstate(divide="ignore"):
             out[neg] = 0.5 * (np.log(q[neg] ** 2 / (s[neg] - p[neg])) - np.log(2.0 * s[neg]))
     return out
+
+
+def excitation_probability(log_f):
+    """1 - f^2 from ln f: the probability that a sudden jump excites the mode."""
+    return -np.expm1(2.0 * log_f)
+
+
+def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple[np.ndarray, ...] | None = None):
+    """ln f_k of the XY pair: log_overlap of its p_k, q_k.  rows, from GapTable.rows
+    for these k, replaces the trigonometry with the table's bit-identical entries."""
+    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    return log_overlap(*_pq_xy(k, p1, p2, rows))
 
 
 def fk_xy(k, p1: XYParams, p2: XYParams):

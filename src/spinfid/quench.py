@@ -30,7 +30,7 @@ from .fidelity import (
     piecewise_quad,
     sum_log_modes,
 )
-from .models import ModelParams, MomentumGrid, PathA
+from .models import ModelParams, MomentumGrid, PathA, excitation_probability
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,13 @@ def excitation_density(gamma: float, delta: float, c: float, N: int,
     p1, p2 = PathA(gamma=gamma, delta=delta, c=c).resolve()
     # one kernel pass serves both the excitation sum and the survival product
     chunks = list(log_mode_chunks(p1, p2, grid))
-    pex = -np.expm1(2.0 * np.concatenate(chunks))
+    pex = excitation_probability(np.concatenate(chunks))
     n_ex = (2.0 / grid.N) * exact_sum(pex)
     per = np.column_stack([grid.modes, pex]) if keep_per_mode else None
 
     n_int = None
     if with_integral:
-        integrand, edges = k_integrand(p1, p2, lambda lnf: -np.expm1(2.0 * lnf))
+        integrand, edges = k_integrand(p1, p2, excitation_probability)
         n_int = piecewise_quad(integrand, edges, QUAD_BUDGET).value / math.pi
 
     surv = sum_log_modes(chunks, grid.N).F ** 2

@@ -51,7 +51,9 @@ from .models import (
     PathD,
     PathSpec,
     check_path,
+    excitation_probability,
     kc_anisotropic,
+    log_overlap,
 )
 from .specfun import elliptic_E, elliptic_K
 
@@ -74,45 +76,29 @@ def _c1_c2(a: float) -> tuple[float, float]:
     return -4.0 * a / d, (a + 1.0) ** 2 / d
 
 
-def _scaled_log_kernel(l: np.ndarray, a: float) -> np.ndarray:
-    """ln(1/2 + x / (2 sqrt(x^2 + 4 l^2))) with x = l^2 + c^2 - 1, cancellation-free."""
-    x = l * l + a * a - 1.0
-    s = np.hypot(x, 2.0 * l)
-    num = 2.0 * l * l
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
-        return np.where(x > 0.0, np.log1p(-num / (s * (s + x))),
-                        np.log(num) - np.log(s * (s - x)))
-
-
-def _scaled_pex_kernel(l: np.ndarray, a: float) -> np.ndarray:
-    """1/2 - x / (2 sqrt(x^2 + 4 l^2)), the scaled per-mode excitation probability."""
-    x = l * l + a * a - 1.0
-    s = np.hypot(x, 2.0 * l)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
-        return np.where(x > 0.0, 2.0 * l * l / (s * (s + x)), (s - x) / (2.0 * s))
-
-
-def _improper_quad(fn, a: float) -> float:
-    # the kernels turn over at l ~ s/2 and l ~ sqrt(s), s = |1 - c^2|; below the
-    # first split a decade ladder brackets the log singularity at l = 0 (|c| < 1)
+def _improper_quad(of_log_f, a: float) -> float:
+    # of_log_f(ln f) of the XY kernel rescaled around its critical momentum,
+    # p = l^2 + c^2 - 1 and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
+    # and l ~ sqrt(s), s = |1 - c^2|; below the first split a decade ladder
+    # brackets the log singularity at l = 0 (|c| < 1)
     s = abs(1.0 - a * a)
     inner = [s / 2.0, math.sqrt(s)] if 0.0 < s < 1.0 else []
     first = inner[0] if inner else 1.0
     ladder = [first * 10.0 ** -e for e in range(12, 0, -1)]
-    return piecewise_quad(lambda l, lo, hi: fn(l, a), [0.0, *ladder, *inner, 1.0, 8.0, np.inf],
-                          QUAD_BUDGET).value
+    return piecewise_quad(lambda l, lo, hi: of_log_f(log_overlap(l * l + a * a - 1.0, 2.0 * l)),
+                          [0.0, *ladder, *inner, 1.0, 8.0, np.inf], QUAD_BUDGET).value
 
 
 def scaling_A_quadrature(c: float) -> float:
     """Ising-crossing scaling function by direct quadrature of its defining integral."""
     a = abs(float(c))
-    return -_improper_quad(_scaled_log_kernel, a) / (4.0 * math.pi)
+    return -_improper_quad(lambda log_f: 2.0 * log_f, a) / (4.0 * math.pi)
 
 
 def scaling_B_quadrature(c: float) -> float:
     """Quench scaling function by direct quadrature of its defining integral."""
     a = abs(float(c))
-    return _improper_quad(_scaled_pex_kernel, a) / math.pi
+    return _improper_quad(excitation_probability, a) / math.pi
 
 
 def scaling_A(c: float) -> float:
