@@ -396,26 +396,26 @@ def log_overlap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     loses all digits once f is close to 1, so the equivalent
     ln f = (1/2) log1p(-q^2 / (2 S (S + p))) is used there; for p <= 0 the
     factored form (S + p) = q^2 / (S - p) is exact.  Returns -inf where f = 0
-    (q = 0 with p < 0) and raises DegenerateModeError where p = q = 0.
+    (q = 0 with p < 0) and raises DegenerateModeError where p = q = 0.  Both
+    forms square q and S: where q^2 underflows a p < 0 mode reads f = 0, and
+    the p > 0 form needs S^2 in float range.
     """
-    _raise_if_degenerate(p, q)
     s = np.hypot(p, q)
+    if not s.all():  # s = 0 exactly where p = q = 0
+        _raise_if_degenerate(p, q)
     pos = p > 0.0
-    where = True if pos.all() else pos
-    # the p > 0 branch in place: -(q^2) / (2 s (s + p)), then (1/2) log1p
-    out, den, sp = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    np.square(q, out=out, where=where)
-    np.negative(out, out=out, where=where)
-    np.multiply(2.0, s, out=den, where=where)
-    np.add(s, p, out=sp, where=where)
-    np.multiply(den, sp, out=den, where=where)
-    np.divide(out, den, out=out, where=where)
-    np.log1p(out, out=out, where=where)
-    np.multiply(0.5, out, out=out, where=where)
-    if where is not True:
-        neg = ~pos
-        with np.errstate(divide="ignore"):
-            out[neg] = 0.5 * (np.log(q[neg] ** 2 / (s[neg] - p[neg])) - np.log(2.0 * s[neg]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the p > 0 form on every mode, in place: (1/2) log1p(q^2 / (-2 s (s + p)));
+        # on p <= 0, where it may read 0/0 or log1p(-1), the factored form replaces it
+        out, den = np.square(q), np.multiply(-2.0, s)
+        np.multiply(den, np.add(s, p), out=den)
+        np.divide(out, den, out=out)
+        np.log1p(out, out=out)
+        np.multiply(0.5, out, out=out)
+        if not pos.all():
+            neg = ~pos
+            sn = s[neg]
+            out[neg] = 0.5 * (np.log(q[neg] ** 2 / (sn - p[neg])) - np.log(2.0 * sn))
     return out
 
 

@@ -3,6 +3,8 @@
 import math
 import warnings
 
+import mpmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from spinfid import (
     kc_anisotropic,
     resolve_path,
 )
+from spinfid.models import excitation_probability, log_overlap
 
 finite_small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -219,6 +222,69 @@ class TestModeKernels:
         p = XYParams(g, 0.0)
         with pytest.raises(DegenerateModeError):
             fk_xy(float(k[1]), p, p)
+
+
+class TestLogOverlap:
+    """log_overlap and excitation_probability against 40-digit references."""
+
+    @staticmethod
+    def reference(p: float, q: float) -> tuple[float, float]:
+        # ln f = (1/2) ln((S + p) / 2S) and 1 - f^2 = (S - p) / 2S, from the exact doubles
+        with mpmath.workdps(40):
+            p, q = mpmath.mpf(p), mpmath.mpf(q)
+            S = mpmath.sqrt(p * p + q * q)
+            return float(mpmath.log((S + p) / (2 * S)) / 2), float((S - p) / (2 * S))
+
+    @staticmethod
+    def seeded(rng, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        sign = lambda: rng.choice([-1.0, 1.0], n)  # noqa: E731
+        p_pos = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        p_neg = -10.0 ** rng.uniform(-3.0, 3.0, n)
+        return {
+            # f within 1e-16 of 1: the direct form rounds (S + p) / 2S to 1
+            "p > 0, |q| << p": (p_pos, sign() * p_pos * 10.0 ** rng.uniform(-12.0, -8.5, n)),
+            "p > 0": (p_pos, sign() * p_pos * 10.0 ** rng.uniform(-3.0, 3.0, n)),
+            "p < 0": (p_neg, sign() * -p_neg * 10.0 ** rng.uniform(-6.0, 3.0, n)),
+            "p = 0": (np.zeros(n), sign() * 10.0 ** rng.uniform(-3.0, 3.0, n)),
+        }
+
+    def test_matches_the_40_digit_reference(self, rng):
+        for case, (p, q) in self.seeded(rng, 200).items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                log_f = log_overlap(p, q)
+                pex = excitation_probability(log_f)
+            ref = np.array([self.reference(a, b) for a, b in zip(p, q)])
+            assert log_f == pytest.approx(ref[:, 0], rel=1e-14, abs=0.0), case
+            assert pex == pytest.approx(ref[:, 1], rel=1e-13, abs=0.0), case
+
+    def test_direct_form_loses_the_near_unit_case(self, rng):
+        # what the cancellation-free branch is for: the direct form reads ln f = 0
+        p, q = self.seeded(rng, 50)["p > 0, |q| << p"]
+        s = np.hypot(p, q)
+        assert np.all(0.5 * np.log((s + p) / (2.0 * s)) == 0.0)
+        assert np.all(log_overlap(p, q) < 0.0)
+
+    def test_unexcited_and_orthogonal_modes(self):
+        p = np.array([3.0, 1e-100, 1e100, -3.0, -1e-100, -1e100])
+        log_f = log_overlap(p, np.zeros(6))
+        assert np.array_equal(log_f, [0.0, 0.0, 0.0, -np.inf, -np.inf, -np.inf])
+        assert np.array_equal(excitation_probability(log_f), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+    def test_degenerate_mode_raises(self):
+        with pytest.raises(DegenerateModeError):
+            log_overlap(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+    def test_any_array_shape(self, rng):
+        # the scaled A/B integrands pass (panels, nodes) arrays
+        p, q = rng.normal(size=(2, 7, 15))
+        assert np.array_equal(log_overlap(p, q), log_overlap(p.ravel(), q.ravel()).reshape(7, 15))
+
+    def test_is_the_xy_kernel(self, rng):
+        from spinfid.models import _pq_xy, log_abs_fk_xy
+        k = rng.uniform(0.0, math.pi, 500)
+        p1, p2 = XYParams(0.9, 0.4), XYParams(1.1, -0.3)
+        assert np.array_equal(log_abs_fk_xy(k, p1, p2), log_overlap(*_pq_xy(k, p1, p2)))
 
 
 class TestMomentumGrid:
