@@ -46,9 +46,17 @@ import numpy as np
 from .errors import DegenerateModeError, DomainError, PoleError
 
 
+#: Largest magnitude of any parameter or path field: far past every physical
+#: value, and small enough that products of a few fields (the kernels p_k, q_k
+#: and their squares, the closed-form rates and orders) stay finite.
+MAX_FIELD = 1e50
+
+
 def _require_finite(obj) -> None:
-    if not all(math.isfinite(getattr(obj, f.name)) for f in fields(obj)):
-        raise DomainError(f"{type(obj).__name__} parameters must be finite")
+    # not |x| <= MAX_FIELD is also true of nan
+    if not all(abs(getattr(obj, f.name)) <= MAX_FIELD for f in fields(obj)):
+        raise DomainError(f"{type(obj).__name__} parameters must be finite and at most "
+                          f"{MAX_FIELD:g} in magnitude")
 
 
 class ModelParams:

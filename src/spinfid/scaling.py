@@ -36,6 +36,7 @@ so the elliptic assembly can be checked against an independent route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,12 @@ def scaling_A_mcp(c: float) -> float:
         raise DomainError("c must be finite")
     if c < 1.0:
         raise DomainError(f"multicritical scaling function needs c >= 1, got {c}")
-    return ((c + 1.0) ** 1.5 * (3.0 - 2.0 * c) + (c - 1.0) ** 1.5 * (3.0 + 2.0 * c)) / (16.0 * math.sqrt(2.0))
+    # the printed form cancels to a relative error of eps c^3 (all digits by c ~ 1e5)
+    # and overflows past c ~ 1e205; with s = sqrt(c + 1), t = sqrt(c - 1) and
+    # u = s + t it equals (1 + st / u^2) / (4 sqrt(2) u), every term positive
+    s, t = math.sqrt(c + 1.0), math.sqrt(c - 1.0)
+    u = s + t
+    return (1.0 + (s / u) * (t / u)) / (4.0 * math.sqrt(2.0) * u)
 
 
 def scaling_A_mps(c: float) -> float:
@@ -219,6 +225,14 @@ class ScalingPrediction:
 _CORNER_EPS = 0.1  # PathC has the multicritical corner's universal rate up to this |eps|
 
 
+def _require_gamma(spec: PathA, what: str) -> None:
+    # the rate divides by gamma, predict_lnF by gamma^2, and the residual's weight
+    # is gamma^3: refuse gamma = 0 and every gamma whose cube underflows
+    if abs(spec.gamma) ** 3 < sys.float_info.min:
+        raise DomainError(f"the Ising-crossing {what} divides by gamma: needs |gamma|^3 "
+                          f"to be a normal float, got gamma = {spec.gamma!r}")
+
+
 def closed_form_rate(spec: PathSpec) -> tuple[float, float, float]:
     """The smooth thermodynamic-limit rate lim ln F / N of a path, as (rate, order, weight).
 
@@ -228,8 +242,7 @@ def closed_form_rate(spec: PathSpec) -> tuple[float, float, float]:
     spec = check_path(spec)
     d, c, e = abs(spec.delta), spec.c, abs(spec.eps)
     if isinstance(spec, PathA):
-        if spec.gamma == 0.0:
-            raise DomainError("the Ising-crossing rate divides by gamma: needs gamma != 0")
+        _require_gamma(spec, "rate")
         return -d * scaling_A(c) / spec.gamma, spec.delta ** 2, spec.gamma ** 3
     if isinstance(spec, PathB) or isinstance(spec, PathC) and e <= _CORNER_EPS:
         return -2.0 * d * scaling_A(c), spec.delta ** 2, 1.0
@@ -322,8 +335,7 @@ def susceptibility_smallsystem(spec: PathSpec, N: int) -> float:
     eps = spec.eps
 
     if isinstance(spec, PathA):
-        if spec.gamma == 0.0:
-            raise DomainError("the Ising-crossing expansion divides by gamma: needs gamma != 0")
+        _require_gamma(spec, "expansion")
         if abs(spec.c) <= 1.0:
             return 1.0 - d ** 2 * N ** 2 / (16.0 * spec.gamma ** 2)
         return 1.0 - d ** 2 * N / (16.0 * spec.gamma * abs(eps))

@@ -28,9 +28,11 @@ proves a bound is a proof device, not an algorithm.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .errors import DomainError
 from .fidelity import fidelity_integral
 from .models import PathA, PathB, PathSpec, resolve_path
 from .scaling import closed_form_rate
@@ -63,6 +65,9 @@ class ErrorSample:
 def residual(spec: PathSpec, tol: float = RESIDUAL_QUAD_TOL) -> ErrorSample:
     """Residual of the path's closed-form rate against the exact rate integral."""
     rate, order, weight = closed_form_rate(spec)  # first: PathA at gamma = 0 has no rate
+    if order < sys.float_info.min:
+        raise DomainError(f"the residual order of {type(spec).__name__} underflows at "
+                          f"delta = {spec.delta!r}")
     E = fidelity_integral(*resolve_path(spec), tol=tol) - rate
     return ErrorSample(E=E, normalized=E * weight / order,
                        **{f.name: getattr(spec, f.name) for f in fields(spec)})

@@ -458,6 +458,17 @@ class TestNumbers:
         ["crossover", "--scan", "gamma", "--N", "100", "--delta", "1e-3", "--c", "1",
          "--range", "1e-3:1", "--per-decade", "2000000000"],
         ["sweep", *PATH_A, "--N-range", f"2:{10 ** 300}:2"],  # past len(range(...))
+        # finite extremes: past models.MAX_FIELD, once an OverflowError or NaN kernels
+        ["fidelity", "--path", "A", "--gamma", "1", "--delta", "1e200", "--c", "0.5", "--N", "100"],
+        ["fidelity", "--path", "A", "--gamma", "1", "--delta", "1e-3", "--c", "1e306", "--N", "100"],
+        ["verify", "--which", "pathext", "--delta", "1e200", "--c-range", "0:1:2"],
+        ["quench", "--gamma", "1", "--delta", "1e200", "--c", "0.5", "--N", "100"],
+        # gamma whose cube underflows (once a ZeroDivisionError, or normalized = 0), and a
+        # residual order that underflows (once a ZeroDivisionError)
+        ["fidelity", "--path", "A", "--gamma", "1e-200", "--delta", "1e-3", "--c", "0.5",
+         "--N", "100"],
+        ["verify", "--which", "pathA", "--gamma", "1e-120", "--delta", "1e-3", "--c-range", "0:1:2"],
+        ["verify", "--which", "pathB", "--g", "0.5", "--delta", "1e-200", "--c-range", "0:1:2"],
     ])
     def test_rejected_input_exits_2_without_traceback(self, argv, capsys):
         assert cli.main(argv) == 2

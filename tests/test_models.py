@@ -1,5 +1,6 @@
 """Paths, dispersions, mode kernels, and correlation length."""
 
+import itertools
 import math
 import warnings
 
@@ -28,9 +29,11 @@ from spinfid import (
     gap_extising,
     gap_xy,
     kc_anisotropic,
+    fidelity_product,
     resolve_path,
 )
-from spinfid.models import excitation_probability, log_overlap
+from spinfid.models import MAX_FIELD, excitation_probability, log_overlap
+from spinfid.scaling import closed_form_rate, predict_lnF
 
 finite_small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -87,7 +90,8 @@ class TestPaths:
         with pytest.raises(DomainError):
             PathD(alpha=-1.0, delta=0.1, c=2.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0 * MAX_FIELD, -1e200],
+                             ids=["nan", "+inf", "-inf", "past-bound", "-1e200"])
     @pytest.mark.parametrize("cls, valid", [
         (XYParams, dict(g=0.5, gamma=1.0)),
         (ExtIsingParams, dict(g=0.5)),
@@ -102,6 +106,38 @@ class TestPaths:
         for name in valid:
             with pytest.raises(DomainError, match="must be finite"):
                 cls(**dict(valid, **{name: bad}))
+
+
+    @pytest.mark.parametrize("cls, valid", [
+        (PathA, dict(gamma=1.0, delta=1e-3, c=0.5)),
+        (PathB, dict(g=0.5, delta=1e-3, c=0.5)),
+        (PathC, dict(delta=1e-3, c=0.5)),
+        (PathD, dict(alpha=1.0, delta=1e-3, c=1.5)),
+        (ExtIsingPath, dict(delta=1e-3, c=0.5)),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else "")
+    def test_fields_at_the_bound_give_finite_rates_and_predictions(self, cls, valid):
+        checked = 0
+        for name in valid:
+            for value in (MAX_FIELD, -MAX_FIELD):
+                try:
+                    spec = cls(**dict(valid, **{name: value}))
+                except DomainError:
+                    continue  # outside the path's own domain (PathB's g, PathD's c and alpha)
+                assert all(math.isfinite(x) for x in closed_form_rate(spec))
+                for N in (2, 10 ** 4, MomentumGrid.MAX_N):
+                    assert math.isfinite(predict_lnF(spec, N).lnF_per_site)
+                checked += 1
+        assert checked >= len(valid)
+
+    def test_states_at_the_bound_give_finite_products(self):
+        vals = (MAX_FIELD, -MAX_FIELD, 1.0, 0.0)
+        for g1, gam1, g2, gam2 in itertools.product(vals, repeat=4):
+            res = fidelity_product(XYParams(g1, gam1), XYParams(g2, gam2), 100)
+            assert res.exact_zero or math.isfinite(res.lnF) and res.lnF <= 0.0
+        for g1, g2 in itertools.product(vals, repeat=2):
+            res = fidelity_product(ExtIsingParams(g1), ExtIsingParams(g2), 100)
+            assert res.exact_zero or math.isfinite(res.lnF) and res.lnF <= 0.0
+        assert fidelity_product(ExtIsingParams(MAX_FIELD), ExtIsingParams(MAX_FIELD), 100).lnF == 0.0
 
 
 class TestGaps:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,7 +32,7 @@ from spinfid import (
     scaling_param_derivative,
     susceptibility_smallsystem,
 )
-from spinfid.scaling import CRITICAL_EXPONENTS
+from spinfid.scaling import CRITICAL_EXPONENTS, closed_form_rate
 
 SQRT2 = math.sqrt(2.0)
 # one path per formula predict_lnF can return, at N = 20000:
@@ -184,6 +185,18 @@ class TestScalingMcpAndMps:
         for c in np.logspace(0.0, 3.0, 40):
             assert scaling_A_mcp(c) > 0.0
 
+    def test_mcp_keeps_its_digits_at_large_c(self, rng):
+        # the printed form, at enough digits to survive its own cancellation of c^3
+        def printed(c):
+            with mpmath.workdps(250):
+                c = mpmath.mpf(c)
+                return float(((c + 1) ** 1.5 * (3 - 2 * c) + (c - 1) ** 1.5 * (3 + 2 * c))
+                             / (16 * mpmath.sqrt(2)))
+        cs = [1.0, 1.5, *(1.0 + rng.uniform(0.0, 9.0, 40)), *(10.0 ** rng.uniform(1.0, 50.0, 40))]
+        for c in cs:
+            assert scaling_A_mcp(c) == pytest.approx(printed(c), rel=1e-15)
+        assert math.isfinite(scaling_A_mcp(1e300)) and scaling_A_mcp(1e300) > 0.0
+
     def test_mcp_domain(self):
         with pytest.raises(DomainError):
             scaling_A_mcp(0.99)
@@ -308,6 +321,16 @@ class TestPredict:
                 susceptibility_smallsystem(PathA(0.0, 1e-3, c), 100)
         # while the product is exact: the two XX states across g = 1 are orthogonal
         assert fidelity_product(*resolve_path(PathA(0.0, 1e-3, 0.5)), 100).exact_zero
+
+    def test_path_a_refuses_gamma_whose_cube_underflows(self):
+        # the rate divides by gamma, the prediction by gamma^2, the residual weighs by gamma^3
+        for gamma in (1e-110, -1e-120, 1e-200, 5e-324):
+            spec = PathA(gamma, 1e-3, 0.5)
+            for fn in (closed_form_rate, lambda s: predict_lnF(s, 100),
+                       lambda s: susceptibility_smallsystem(s, 100)):
+                with pytest.raises(DomainError, match="divides by gamma"):
+                    fn(spec)
+        assert math.isfinite(predict_lnF(PathA(1e-100, 1e-3, 0.5), 100).lnF_per_site)
 
     def test_path_b_oscillation_amplitude(self):
         pred = predict_lnF(PathB(0.99, 0.002, 0.5), 10000)
