@@ -17,6 +17,15 @@ deliberately not enforced (quadrature needs off-grid evaluation).  The grid
 hands out its modes in index blocks, and a GapTable keeps sin k and the XY
 gap terms of fixed fields for a sweep over anisotropies.
 
+One formula turns an XY mode's kernels into its overlap: log_overlap gives
+ln f from (p, q) without cancellation, and excitation_probability gives
+1 - f^2 from ln f.  Every XY route reads them: the product, fidelity_integral
+and the quench mode sum and k-integral through log_abs_fk_xy, and the scaled
+A/B integrals of scaling at the rescaled kernels p = l^2 + c^2 - 1, q = 2l.
+The extended chain's signed factor has its own ln|f_k| (log_abs_fk_extising).
+Every field of a parameter set or path is finite and at most MAX_FIELD in
+magnitude.
+
 This is the one module that knows which model families and paths exist.  A
 parameter class (a ModelParams dataclass) owns its family's physics: the
 anchors of the ln|f_k| quadrature (kernel_zero, gap_minimum), the per-mode

@@ -3,7 +3,9 @@
 A parameter jump from lambda_1 to lambda_2 leaves the system in the old
 ground state; its overlap with the new one is the equilibrium fidelity at the
 midpoint, so the survival probability is F^2.  Mode k is excited with
-probability p_k^ex = 1 - f_k^2, giving the quasiparticle density
+probability p_k^ex = 1 - f_k^2 (models.excitation_probability of the XY
+kernel's ln f_k, the transform scaling_B_quadrature integrates), giving the
+quasiparticle density
 
     n_ex = (1/pi) int_0^pi (1 - f_k^2) dk  ~  (2/N) sum_{k>0} (1 - f_k^2)
 

@@ -30,7 +30,14 @@ arguments c1 = -4|c|/(|c|-1)^2 and c2 = ((|c|+1)/(|c|-1))^2; both stay
 continuous across |c| = 1, where c1, c2 blow up and the closed form is
 replaced by direct quadrature of the underlying scaled integral.  The
 quadrature forms (gated by their error estimate) are exposed as *_quadrature
-so the elliptic assembly can be checked against an independent route.
+so the elliptic assembly can be checked against an independent route.  Their
+integrands are the XY kernel itself: rescaled around the critical momentum
+(k = |d| l / gamma on PathA), p_k / d^2 and q_k / d^2 become p = l^2 + c^2 - 1
+and q = 2l, and with f from models.log_overlap
+
+    A(c) = -(1/4 pi) int_0^inf ln f^2 dl,    B(c) = (1/pi) int_0^inf (1 - f^2) dl,
+
+1 - f^2 being models.excitation_probability, as in the quench module.
 """
 
 from __future__ import annotations
