@@ -36,12 +36,12 @@ the rule that a compared pair is of one family (check_same_kind).
 A path class (a PathSpec dataclass) has as fields exactly the parameters it
 reads, validates them when built, and resolve()s to the ordered pair of
 parameter sets.  Two type dispatches stay outside on purpose: the kernel
-choice in fidelity._log_kernel, so that every kernel call goes through the
-names log_abs_fk_xy / log_abs_fk_extising of the fidelity module, which the
-benchmark's trace layer wraps; and the formula chains of scaling, which a
-table keyed by class would only lengthen: closed_form_rate, where each path's
-smooth rate and residual order are written once, predict_lnF, which adds
-each path's validity ratios and finite-N prefactor, and
+choice in fidelity._log_kernel, so that every momentum-space kernel call goes
+through the names log_abs_fk_xy / log_abs_fk_extising of the fidelity module,
+which the benchmark's trace layer wraps; and the formula chains of scaling,
+which a table keyed by class would only lengthen: closed_form_rate, where
+each path's smooth rate and residual order are written once, predict_lnF,
+which adds each path's validity ratios and finite-N prefactor, and
 susceptibility_smallsystem.
 """
 

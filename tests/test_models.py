@@ -316,12 +316,6 @@ class TestLogOverlap:
         p, q = rng.normal(size=(2, 7, 15))
         assert np.array_equal(log_overlap(p, q), log_overlap(p.ravel(), q.ravel()).reshape(7, 15))
 
-    def test_is_the_xy_kernel(self, rng):
-        from spinfid.models import _pq_xy, log_abs_fk_xy
-        k = rng.uniform(0.0, math.pi, 500)
-        p1, p2 = XYParams(0.9, 0.4), XYParams(1.1, -0.3)
-        assert np.array_equal(log_abs_fk_xy(k, p1, p2), log_overlap(*_pq_xy(k, p1, p2)))
-
 
 class TestMomentumGrid:
     def test_blocks_are_slices_of_the_modes(self):

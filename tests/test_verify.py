@@ -81,17 +81,16 @@ class TestAnyPath:
     def test_rate_is_checked_before_the_integral(self, monkeypatch):
         import spinfid.verify
         monkeypatch.setattr(spinfid.verify, "fidelity_integral", None)  # never reached
-        with pytest.raises(DomainError, match="divides by gamma"):
-            residual(PathA(0.0, 1e-3, 0.5))
+        for gamma in (0.0, 1e-120):  # 1e-120: gamma^3 underflows, normalized would read 0
+            with pytest.raises(DomainError, match="divides by gamma"):
+                residual(PathA(gamma, 1e-3, 0.5))
 
-    def test_underflowing_order_or_weight_is_refused_before_the_integral(self, monkeypatch):
+    def test_underflowing_order_is_refused_before_the_integral(self, monkeypatch):
         import spinfid.verify
         monkeypatch.setattr(spinfid.verify, "fidelity_integral", None)  # never reached
         for spec in (PathB(0.5, 1e-200, 0.5), PathD(1.0, -1e-130, 1.5), ExtIsingPath(1e-160, 0.0)):
             with pytest.raises(DomainError, match="residual order of .* underflows"):
                 residual(spec)
-        with pytest.raises(DomainError, match="divides by gamma"):
-            residual(PathA(1e-120, 1e-3, 0.5))  # gamma^3 underflows: normalized would read 0
 
     @pytest.mark.parametrize("make", [lambda d: PathC(d, 0.5), lambda d: PathC(d, 0.2 / abs(d)),
                                       lambda d: PathD(1.0, d, 1.5), lambda d: ExtIsingPath(d, 2.0)],
