@@ -19,14 +19,13 @@ so the integration interval is pre-split there (each zero polished by
 bisection to within an ulp) and around the gap-closing momenta of either
 state, with geometric ladders around every split point.
 
-piecewise_quad, the one quadrature driver of the package, integrates all
-pieces at once with the G7K15 Gauss-Kronrod rule and QUADPACK's error
+piecewise_quad, the one quadrature driver of the package, integrates finite
+pieces, all at once, with the G7K15 Gauss-Kronrod rule and QUADPACK's error
 estimate.  Every active panel is held in arrays, and each refinement round
 bisects the panels carrying the largest share of the summed error estimate
 and evaluates all their nodes in one vectorized integrand call.  The budget
-is global; an infinite last piece [a, inf) is integrated in t = a / x; round
-and panel caps bound the work, and an estimate still over budget raises
-NumericsError.
+is global; round and panel caps bound the work, and an estimate still over
+budget raises NumericsError.
 """
 
 from __future__ import annotations
@@ -303,36 +302,28 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.nd
 
 def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
                    budget: float) -> QuadResult:
-    """Adaptive Gauss-Kronrod integral over consecutive pieces [edges[i], edges[i+1]].
+    """Adaptive Gauss-Kronrod integral over consecutive finite pieces [edges[i], edges[i+1]].
 
     integrand(x, lo, hi) is vectorized: x is an array of nodes and lo, hi
-    broadcast against it with the ends of each node's piece.  The last edge
-    may be np.inf; that piece [lo, inf) is integrated in t = lo / x over
-    (0, 1].  Every active panel of every piece is held in arrays; each round
-    bisects the panels carrying the largest share of the summed error estimate
-    and evaluates all their nodes in one integrand call, until the summed
-    estimate is within QUAD_GOAL_SHARE of budget (or at the estimate's
-    rounding floor).  Sums are exactly rounded.  A non-finite panel value, or
-    an estimate still over budget at QUAD_MAX_ROUNDS or QUAD_MAX_PANELS,
-    raises NumericsError with the round, panel and node counts and the worst
-    panels.
+    broadcast against it with the ends of each node's piece.  Every edge must
+    be finite (DomainError otherwise); an improper integral maps its own
+    half-line onto a finite interval.  Every active panel of every piece is
+    held in arrays; each round bisects the panels carrying the largest share
+    of the summed error estimate and evaluates all their nodes in one
+    integrand call, until the summed estimate is within QUAD_GOAL_SHARE of
+    budget (or at the estimate's rounding floor).  Sums are exactly rounded.
+    A non-finite panel value, or an estimate still over budget at
+    QUAD_MAX_ROUNDS or QUAD_MAX_PANELS, raises NumericsError with the round,
+    panel and node counts and the worst panels.
     """
-    lo = np.asarray(edges[:-1], dtype=np.float64)
-    hi = np.asarray(edges[1:], dtype=np.float64)
-    tail = np.isinf(hi)
-    if np.any(tail[:-1]) or np.any(tail & (lo <= 0.0)):
-        raise DomainError("only the last piece may be infinite, and it must start above 0")
-    a = np.where(tail, 0.0, lo)
-    b = np.where(tail, 1.0, hi)
-    piece = np.arange(lo.size)
+    edges = np.asarray(edges, dtype=np.float64)
+    if not np.all(np.isfinite(edges)):
+        raise DomainError(f"quadrature edges must be finite, got {edges.tolist()}")
+    lo, hi = edges[:-1], edges[1:]
+    a, b, piece = lo, hi, np.arange(lo.size)
 
     def rule(a: np.ndarray, b: np.ndarray, piece: np.ndarray):
-        plo, phi, ptail = lo[piece, None], hi[piece, None], tail[piece, None]
-
-        def f(t: np.ndarray) -> np.ndarray:  # a tail node t stands for x = lo / t
-            x = np.where(ptail, plo / t, t)
-            return integrand(x, plo, phi) * np.where(ptail, x / t, 1.0)
-        return gauss_kronrod(f, a, b)
+        return gauss_kronrod(lambda x: integrand(x, lo[piece, None], hi[piece, None]), a, b)
 
     val, err = rule(a, b, piece)
     nodes, rounds = _GK_X.size * a.size, 0
@@ -340,7 +331,7 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
         if not np.all(np.isfinite(val)):
             i = int(np.argmin(np.isfinite(val)))
             raise NumericsError(f"quadrature returned a non-finite value on "
-                                f"{_panel_span(a[i], b[i], lo[piece[i]], tail[piece[i]])}")
+                                f"{(float(a[i]), float(b[i]))}")
         total = math.fsum(err)
         # the estimate is least pessimistic on panels ending at a log singularity
         # (true error up to about 1/50 of it), so refine well below the budget,
@@ -364,8 +355,7 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
         nodes += _GK_X.size * na.size
         rounds += 1
     if total > budget:
-        worst = [(*_panel_span(a[i], b[i], lo[piece[i]], tail[piece[i]]), float(err[i]))
-                 for i in order[:5]]
+        worst = [(float(a[i]), float(b[i]), float(err[i])) for i in order[:5]]
         cap = "round" if rounds == QUAD_MAX_ROUNDS else "panel"
         raise NumericsError(f"quadrature error estimate {total:.3e} exceeds budget "
                             f"{budget:.3e} at the {cap} cap: {rounds} rounds, {a.size} "
@@ -373,17 +363,9 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
     return QuadResult(math.fsum(val), total, a.size, nodes, rounds)
 
 
-def _panel_span(a: float, b: float, lo: float, tail: bool) -> tuple[float, float]:
-    """Panel [a, b] as a k or l interval (a tail panel lives in t = lo / x)."""
-    if not tail:
-        return float(a), float(b)
-    return float(lo / b), (math.inf if a == 0.0 else float(lo / a))
-
-
-def k_integrand(p1: ModelParams, p2: ModelParams,
-                of_log_f: Callable[[np.ndarray], np.ndarray]
-                ) -> tuple[Callable[..., np.ndarray], list[float]]:
-    """Integrand k -> of_log_f(ln|f_k|) for piecewise_quad, and its edges 0, breakpoints, pi.
+def k_integral(p1: ModelParams, p2: ModelParams,
+               of_log_f: Callable[[np.ndarray], np.ndarray], budget: float) -> QuadResult:
+    """piecewise_quad of k -> of_log_f(ln|f_k|) over [0, pi], split at 0, the breakpoints, pi.
 
     A node within rounding distance of a kernel zero can see ln|f_k| round to
     -inf; it is nudged 1e-14 off its piece's nearer inner end (every breakpoint
@@ -403,7 +385,7 @@ def k_integrand(p1: ModelParams, p2: ModelParams,
                                 f"k = {float(k[bad][0])!r}")
         return val
 
-    return integrand, [0.0] + integration_breakpoints(p1, p2) + [math.pi]
+    return piecewise_quad(integrand, [0.0] + integration_breakpoints(p1, p2) + [math.pi], budget)
 
 
 def fidelity_integral(p1: ModelParams, p2: ModelParams, tol: float = 1e-11) -> float:
@@ -415,8 +397,7 @@ def fidelity_integral(p1: ModelParams, p2: ModelParams, tol: float = 1e-11) -> f
     """
     if p1 == p2:
         return 0.0
-    integrand, edges = k_integrand(p1, p2, lambda lnf: lnf)
-    return piecewise_quad(integrand, edges, 2.0 * math.pi * tol).value / (2.0 * math.pi)
+    return k_integral(p1, p2, lambda lnf: lnf, 2.0 * math.pi * tol).value / (2.0 * math.pi)
 
 
 def _log_pow_sum(x: float, N: int) -> float:

@@ -413,9 +413,9 @@ def log_overlap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     loses all digits once f is close to 1, so the equivalent
     ln f = (1/2) log1p(-q^2 / (2 S (S + p))) is used there; for p <= 0 the
     factored form (S + p) = q^2 / (S - p) is exact.  Returns -inf where f = 0
-    (q = 0 with p < 0) and raises DegenerateModeError where p = q = 0.  Both
-    forms square q and S: where q^2 underflows a p < 0 mode reads f = 0, and
-    the p > 0 form needs S^2 in float range.
+    (q = 0 with p < 0) and raises DegenerateModeError where p = q = 0.  Where
+    q^2 / (S - p) underflows (q != 0) its log is 2 ln|q| - ln(S - p), so such a
+    mode stays finite; the p > 0 form needs S^2 in float range.
     """
     s = np.hypot(p, q)
     if not s.all():  # s = 0 exactly where p = q = 0
@@ -431,8 +431,13 @@ def log_overlap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         np.multiply(0.5, out, out=out)
         if not pos.all():
             neg = ~pos
-            sn = s[neg]
-            out[neg] = 0.5 * (np.log(q[neg] ** 2 / (sn - p[neg])) - np.log(2.0 * sn))
+            sn, qn = s[neg], q[neg]
+            dn = sn - p[neg]
+            ratio = qn ** 2 / dn
+            ln_sp = np.log(ratio)
+            low = np.flatnonzero((ratio < np.finfo(np.float64).tiny) & (qn != 0.0))
+            ln_sp[low] = 2.0 * np.log(np.abs(qn[low])) - np.log(dn[low])
+            out[neg] = 0.5 * (ln_sp - np.log(2.0 * sn))
     return out
 
 

@@ -10,8 +10,8 @@ quasiparticle density
     n_ex = (1/pi) int_0^pi (1 - f_k^2) dk  ~  (2/N) sum_{k>0} (1 - f_k^2)
 
 which for a small jump across the Ising line scales as |delta| B(c) / gamma with
-the scaling function B from the scaling module.  The k-integral shares the
-breakpoints and quadrature of fidelity_integral and is gated by its error estimate.
+the scaling function B from the scaling module.  The k-integral is the
+fidelity.k_integral of fidelity_integral and is gated by its error estimate.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .fidelity import (
     QUAD_BUDGET,
     exact_sum,
     fidelity_product,
-    k_integrand,
+    k_integral,
     log_mode_chunks,
-    piecewise_quad,
     sum_log_modes,
 )
 from .models import ModelParams, MomentumGrid, PathA, excitation_probability
@@ -79,8 +78,7 @@ def excitation_density(gamma: float, delta: float, c: float, N: int,
 
     n_int = None
     if with_integral:
-        integrand, edges = k_integrand(p1, p2, excitation_probability)
-        n_int = piecewise_quad(integrand, edges, QUAD_BUDGET).value / math.pi
+        n_int = k_integral(p1, p2, excitation_probability, QUAD_BUDGET).value / math.pi
 
     surv = sum_log_modes(chunks, grid.N).F ** 2
     return QuenchResult(n_ex=n_ex, survival=surv, n_ex_integral=n_int, per_mode_pex=per)

@@ -463,6 +463,7 @@ class TestNumbers:
         ["fidelity", "--path", "A", "--gamma", "1", "--delta", "1e-3", "--c", "1e306", "--N", "100"],
         ["verify", "--which", "pathext", "--delta", "1e200", "--c-range", "0:1:2"],
         ["quench", "--gamma", "1", "--delta", "1e200", "--c", "0.5", "--N", "100"],
+        ["scaling", "--function", "A", "--c-range", "1e60:1e200:2"],
         # gamma whose cube underflows (once a ZeroDivisionError, or normalized = 0), and a
         # residual order that underflows (once a ZeroDivisionError)
         ["fidelity", "--path", "A", "--gamma", "1e-200", "--delta", "1e-3", "--c", "0.5",

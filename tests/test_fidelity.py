@@ -87,6 +87,15 @@ class TestProduct:
         res = fidelity_product(XYParams(g, 0.1), XYParams(g, -0.1), 4)
         assert res.exact_zero and res.F == 0.0 and res.lnF == -math.inf
 
+    def test_underflowing_q_squared_is_not_an_exact_zero(self):
+        # at gamma = 1e-160 every p < 0 mode's q^2 underflows, once read as f = 0;
+        # there ln f = ln gamma + const, so lnF is linear in ln gamma
+        lnF = [fidelity_product(*resolve_path(PathA(gamma, 1e-3, 0.0)), 10000)
+               for gamma in (1e-150, 1e-155, 1e-160)]
+        assert not lnF[2].exact_zero and math.isfinite(lnF[2].lnF)
+        assert abs(lnF[2].lnF - (2.0 * lnF[1].lnF - lnF[0].lnF)) < 1e-12 * abs(lnF[2].lnF)
+        assert fidelity_product(*resolve_path(PathA(0.0, 1e-3, 0.0)), 10000).exact_zero
+
     def test_resonant_mode_near_zero(self):
         # the same resonance off the representable grid: tiny but finite
         p1, p2 = resolve_path(PathB(g=0.0, delta=0.1, c=0.0))
@@ -399,11 +408,10 @@ class TestDriver:
         res = piecewise_quad(lambda x, lo, hi: x * x, [0.0, 0.5, 1.0], 1e-12)
         assert res == QuadResult(value=res.value, error=res.error, panels=2, nodes=30, rounds=0)
         assert abs(res.value - 1.0 / 3.0) < 1e-15 and res.error <= 1e-12
-
-    def test_infinite_tail(self):
-        # int_0^inf dx / (1 + x^2) = pi / 2, the [8, inf) piece in t = 8 / x
-        res = piecewise_quad(lambda x, lo, hi: 1.0 / (1.0 + x * x), [0.0, 1.0, 8.0, np.inf], 1e-13)
-        assert abs(res.value - math.pi / 2.0) < 1e-14
+        # every piece is finite: an improper integral maps its own half-line
+        for edges in ([0.0, 1.0, np.inf], [0.0, np.nan, 1.0], [-np.inf, 0.0]):
+            with pytest.raises(DomainError, match="edges must be finite"):
+                piecewise_quad(lambda x, lo, hi: x * x, edges, 1e-12)
 
     def test_refines_a_log_singularity(self):
         res = piecewise_quad(lambda x, lo, hi: np.log(x), [0.0, 1.0], 1e-11)

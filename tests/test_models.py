@@ -264,9 +264,9 @@ class TestLogOverlap:
     """log_overlap and excitation_probability against 40-digit references."""
 
     @staticmethod
-    def reference(p: float, q: float) -> tuple[float, float]:
+    def reference(p: float, q: float, dps: int = 40) -> tuple[float, float]:
         # ln f = (1/2) ln((S + p) / 2S) and 1 - f^2 = (S - p) / 2S, from the exact doubles
-        with mpmath.workdps(40):
+        with mpmath.workdps(dps):
             p, q = mpmath.mpf(p), mpmath.mpf(q)
             S = mpmath.sqrt(p * p + q * q)
             return float(mpmath.log((S + p) / (2 * S)) / 2), float((S - p) / (2 * S))
@@ -306,6 +306,14 @@ class TestLogOverlap:
         log_f = log_overlap(p, np.zeros(6))
         assert np.array_equal(log_f, [0.0, 0.0, 0.0, -np.inf, -np.inf, -np.inf])
         assert np.array_equal(excitation_probability(log_f), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+    def test_underflowing_q_squared_stays_finite(self):
+        # q^2 / (S - p) below the smallest normal double, with q != 0: f is tiny, not 0
+        p = np.array([-1.0, -1e-100, -1e100, -1.0, -3.0])
+        q = np.array([1e-170, 1e-210, 1e-120, 5e-324, 2e-160])
+        # 1000 digits, so that S + p = S - |p| keeps q^2 / 2|p| down to q = 5e-324
+        ref = [self.reference(a, b, dps=1000)[0] for a, b in zip(p, q)]
+        assert log_overlap(p, q) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_degenerate_mode_raises(self):
         with pytest.raises(DegenerateModeError):

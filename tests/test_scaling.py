@@ -32,6 +32,7 @@ from spinfid import (
     scaling_param_derivative,
     susceptibility_smallsystem,
 )
+from spinfid.models import MAX_FIELD
 from spinfid.scaling import CRITICAL_EXPONENTS, closed_form_rate
 
 SQRT2 = math.sqrt(2.0)
@@ -134,6 +135,39 @@ def test_quadrature_matches_high_precision(c, A, B):
         assert abs(scaling_B_quadrature(sign * c) - B) < 1e-13
 
 
+def large_c_reference(c: float) -> tuple[float, float]:
+    """A(c) and B(c) from their defining integrals at 40 digits, for |c| > 1 (p > 0 throughout)."""
+    with mpmath.workdps(40):
+        a = abs(mpmath.mpf(c))
+
+        def excited(l):  # 1 - f^2 = q^2 / (2 S (S + p)) with p = l^2 + c^2 - 1, q = 2l
+            x = l * l + a * a - 1
+            r = mpmath.sqrt(x * x + 4 * l * l)
+            return 2 * l * l / (r * (r + x))
+
+        edges = [0, 1, mpmath.sqrt(a * a - 1), mpmath.inf]
+        A = -mpmath.quad(lambda l: mpmath.log1p(-excited(l)), edges) / (4 * mpmath.pi)
+        return float(A), float(mpmath.quad(excited, edges) / mpmath.pi)
+
+
+@pytest.mark.parametrize("c", [30.0, 1e3, 1e6, 5.0005e7])
+def test_past_the_closed_form_matches_high_precision(c):
+    # beyond |c| = 10 the elliptic assembly cancels (negative A at 5.0005e7); quadrature holds
+    A, B = large_c_reference(c)
+    for sign in (1.0, -1.0):
+        assert scaling_A(sign * c) == pytest.approx(A, rel=1e-15, abs=0.0)
+        assert scaling_B(sign * c) == pytest.approx(B, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("fn, tail", [(scaling_A, 1.0 / 16.0), (scaling_B, 0.25)],
+                         ids=["A", "B"])
+def test_c_up_to_the_field_bound(fn, tail):
+    # the asymptote tail / |c| is exact to 1 part in c^2 at the bound, and past it c is refused
+    assert fn(MAX_FIELD) == pytest.approx(tail / MAX_FIELD, rel=1e-15, abs=0.0)
+    with pytest.raises(DomainError, match="at most"):
+        fn(2.0 * MAX_FIELD)
+
+
 class TestScalingB:
     def test_exact_half_at_zero(self):
         assert scaling_B(0.0) == 0.5
@@ -207,6 +241,13 @@ class TestScalingMcpAndMps:
         assert scaling_A_mps(1.0) == 1.0
         assert scaling_A_mps(20.0) == pytest.approx(0.025, rel=1e-3)
         assert scaling_A_mps(1.0 + 1e-12) == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("c", [1e4, 1e8])
+    def test_mps_tail_matches_high_precision(self, c):
+        # |c| - sqrt(c^2 - 1) in doubles cancels, reading 0 at c = 1e8
+        with mpmath.workdps(40):
+            ref = float(c - mpmath.sqrt(mpmath.mpf(c) ** 2 - 1))
+        assert scaling_A_mps(c) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     def test_mps_monotone_nonincreasing(self):
         cs = np.linspace(0.0, 8.0, 160)
