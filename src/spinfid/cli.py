@@ -231,7 +231,7 @@ def _quench_row(args: tuple[PathA, int, bool]) -> dict:
 def _verify_row(args: tuple[type, dict, float]) -> dict:
     path, flags, c = args
     s = residual(path(**flags, c=c))
-    return {n: getattr(s, n) for n in (*flags, "c", "E", "normalized")}
+    return {n: getattr(s, n) for n in (*flags, "c", "E", "normalized", "order")}
 
 
 def _crossover_point(args: tuple[dict, str, float]) -> dict:

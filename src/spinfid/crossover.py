@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fidelity import fidelity_product
-from .models import GapTable, MomentumGrid, PathA, PathD, resolve_path
+from .models import PathA, PathD, resolve_path
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ def sweep_lnF(scan: str, grid: Sequence[float], c: float, *, N: Optional[int] = 
     """Exact -ln F over a sorted sweep of gamma (PathA at fixed N, delta), N (PathD at
     fixed delta; sizes rounded to even and deduplicated) or delta (PathD at fixed N).
 
-    A gamma scan builds one GapTable of its N for all its products, which
-    gives the same bits as products without it."""
+    A gamma or delta scan runs all its products at one N, so all but its first read the
+    XY trigonometry from the per-N memo of models.trig_rows."""
     path = SCAN_PATHS.get(scan)
     if path is None:
         raise DomainError(f"scan must be one of {', '.join(SCAN_PATHS)}, got {scan!r}")
@@ -177,11 +177,7 @@ def sweep_lnF(scan: str, grid: Sequence[float], c: float, *, N: Optional[int] = 
     points = [{"N": N, "delta": delta, "alpha": alpha, "c": c, scan: v} for v in values.tolist()]
     names = [f.name for f in fields(path)]
     pairs = [resolve_path(path(**{n: p[n] for n in names})) for p in points]
-    # a gamma scan holds both fields fixed: one gap table serves every product
-    table = GapTable.build(MomentumGrid(N), [q.g for pair in pairs for q in pair]) \
-        if scan == "gamma" else None
-    y = np.array([-fidelity_product(*pair, p["N"], table=table).lnF
-                  for pair, p in zip(pairs, points)])
+    y = np.array([-fidelity_product(*pair, p["N"]).lnF for pair, p in zip(pairs, points)])
     if scan == "gamma":
         curve = local_slopes(1.0 / values[::-1], y[::-1])
         return LnFSweep(scan, values, y, curve.s[::-1], curve)

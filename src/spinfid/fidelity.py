@@ -11,8 +11,9 @@ product engine makes the modes block by block from their indices, evaluates
 the kernel one grid block of 8192 modes at a time (its temporaries stay in
 cache, and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
 exact_sum, an exactly rounded bucket sum equal to math.fsum, and sums the
-chunk partials with math.fsum.  A sweep that holds both fields fixed passes a
-GapTable of its N so the kernel skips the trigonometry.  The
+chunk partials with math.fsum.  XY products at one of the three most recently
+used N up to 2^21 read sin k and the gap base from a per-N memo
+(models.trig_rows) and skip the trigonometry.  The
 thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
 so the integration interval is pre-split there (each zero polished by
@@ -38,12 +39,12 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .models import (
-    GapTable,
     ModelParams,
     MomentumGrid,
     XYParams,
     log_abs_fk_extising,
     log_abs_fk_xy,
+    trig_rows,
 )
 
 # |f_k| below this is treated as an exact zero of the product.  A mode pinned
@@ -105,31 +106,32 @@ class FidelityResult:
     per_mode: Optional[np.ndarray] = None
 
 
-def _log_kernel(p1: ModelParams, p2: ModelParams) -> Callable[..., np.ndarray]:
+def _log_kernel(p1: ModelParams, p2: ModelParams,
+                grid: Optional[MomentumGrid] = None) -> Callable[..., np.ndarray]:
     # Selected here rather than by the parameter classes so that every kernel
-    # call looks up this module's log_abs_fk_xy / log_abs_fk_extising.  The XY
-    # kernel takes a gap table's rows for k as its optional second argument.
+    # call looks up this module's log_abs_fk_xy / log_abs_fk_extising.  Over a
+    # grid, kernel(k, lo, hi) takes the block's mode indices too, for the memo.
     p1.check_same_kind(p2)
     if isinstance(p1, XYParams):
-        return lambda k, rows=None: log_abs_fk_xy(k, p1, p2, rows)
-    return lambda k, rows=None: log_abs_fk_extising(k, p1.g, p2.g)
+        rows = None if grid is None else trig_rows(grid)
+        if rows is None:
+            return lambda k, *_: log_abs_fk_xy(k, p1, p2)
+        return lambda k, lo, hi: log_abs_fk_xy(k, p1, p2, rows(lo, hi))
+    return lambda k, *_: log_abs_fk_extising(k, p1.g, p2.g)
 
 
-def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid,
-                    table: Optional[GapTable] = None) -> Iterator[np.ndarray]:
+def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid) -> Iterator[np.ndarray]:
     """ln|f_k| over the grid in ascending k, one array per _CHUNK modes.
 
     Each chunk is filled by one kernel call per grid block, with the modes
     made from their indices, so no array of all N/2 modes is held.
     """
-    if table is not None and table.grid != grid:
-        raise DomainError(f"gap table is for N = {table.grid.N}, not N = {grid.N}")
-    kernel = _log_kernel(p1, p2)
+    kernel = _log_kernel(p1, p2, grid)
     for lo in range(0, grid.size, _CHUNK):
         hi = min(lo + _CHUNK, grid.size)
         vals = np.empty(hi - lo)
         for b, e, k in grid.blocks(lo, hi):
-            vals[b - lo:e - lo] = kernel(k, None if table is None else table.rows(p1, p2, b, e))
+            vals[b - lo:e - lo] = kernel(k, b, e)
         yield vals
 
 
@@ -148,8 +150,7 @@ def sum_log_modes(chunks: Iterable[np.ndarray], N: int) -> FidelityResult:
 
 
 def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
-                     keep_per_mode: bool = False,
-                     table: Optional[GapTable] = None) -> FidelityResult:
+                     keep_per_mode: bool = False) -> FidelityResult:
     """Exact fidelity via the momentum product, log-domain, exactly rounded summation.
 
     ln F = sum_{k>0} ln|f_k|, with the kernel evaluated one grid block
@@ -157,11 +158,11 @@ def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
     math.fsum) and the chunk partials summed by math.fsum, so the result does
     not depend on the block size and repeated runs are bit-identical.  Any
     mode with |f_k| below EXACT_ZERO_FLOOR makes the product an exact zero
-    and sets the flag.  table, a GapTable of this N holding both states'
-    fields, saves the trigonometry of a sweep that varies only anisotropies.
+    and sets the flag.  An XY product at N <= 2^21 reads its trigonometry from
+    the per-N memo of models.trig_rows, filled on a miss, with the same bits.
     """
     grid = MomentumGrid(N)
-    chunks = log_mode_chunks(p1, p2, grid, table)
+    chunks = log_mode_chunks(p1, p2, grid)
     if keep_per_mode:
         chunks = list(chunks)
     res = sum_log_modes(chunks, grid.N)

@@ -14,8 +14,9 @@ momentum grid k = (2n+1) pi / N and the ground-state overlap of two parameter
 sets factorizes into per-mode Bogoliubov factors f_k built from the kernels
 p_k, q_k below.  Kernels accept scalar or array momenta; grid membership is
 deliberately not enforced (quadrature needs off-grid evaluation).  The grid
-hands out its modes in index blocks, and a GapTable keeps sin k and the XY
-gap terms of fixed fields for a sweep over anisotropies.
+hands out its modes in index blocks, and trig_rows keeps sin k and the XY gap
+base of the three most recently used grids, which the kernel's p_k, q_k of any
+fields are formed from.
 
 One formula turns an XY mode's kernels into its overlap: log_overlap gives
 ln f from (p, q) without cancellation, and excitation_probability gives
@@ -48,6 +49,7 @@ susceptibility_smallsystem.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -324,38 +326,40 @@ class MomentumGrid:
             yield b, e, self.block(b, e)
 
 
-@dataclass(frozen=True)
-class GapTable:
-    """sin k and the XY gap terms g - cos k of fixed fields g over one momentum grid.
+# The XY kernel's field-independent rows of the _TRIG_GRIDS most recently used grids
+# of at most _TRIG_MAX_MODES modes (16 MB each), by N: sin k, the gap base b, which is
+# 2 sin^2(k/2) on the first `split` modes (where cos k > 1/2) and -cos k beyond, and split.
+_TRIG_GRIDS, _TRIG_MAX_MODES = 3, 1 << 20
+_trig_memo: OrderedDict[int, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
 
-    A sweep that holds the fields fixed and varies only the anisotropies (a
-    gamma scan on PathA) builds one table per N and hands it to every
-    product at that N; the kernel then forms p_k and q_k from the table by
-    the same operations as from k, so the products keep their bits.  Built
-    in blocks from the grid's indices; memory is (1 + len(fields)) N/2 doubles.
+
+def trig_rows(grid: MomentumGrid):
+    """rows(lo, hi) -> (sin k, b, split counted from lo) of modes lo .. hi - 1, from the
+    per-N memo, or None for a grid past _TRIG_MAX_MODES modes.
+
+    A miss evicts the least recently used grid first, then fills the two
+    read-only arrays block by block.
     """
-    grid: MomentumGrid
-    sin_k: np.ndarray
-    terms: dict[float, np.ndarray]
-
-    @classmethod
-    def build(cls, grid: MomentumGrid, fields_g) -> GapTable:
-        gs = sorted(set(fields_g))
-        sin_k = np.empty(grid.size)
-        terms = {g: np.empty(grid.size) for g in gs}
+    if grid.size > _TRIG_MAX_MODES:
+        return None
+    trig = _trig_memo.pop(grid.N, None)
+    if trig is None:
+        while len(_trig_memo) >= _TRIG_GRIDS:
+            _trig_memo.popitem(last=False)
+        sin_k, base, split = np.empty(grid.size), np.empty(grid.size), 0
         for lo, hi, k in grid.blocks():
-            ck, s2 = np.cos(k), np.sin(0.5 * k) ** 2
-            sin_k[lo:hi] = np.sin(k)
-            for g in gs:
-                terms[g][lo:hi] = _gap_terms(ck, s2, g)
-        return cls(grid, sin_k, terms)
-
-    def rows(self, p1: XYParams, p2: XYParams, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        """(sin k, a1, a2) of modes lo .. hi - 1 for the pair's fields."""
-        try:
-            return self.sin_k[lo:hi], self.terms[p1.g][lo:hi], self.terms[p2.g][lo:hi]
-        except KeyError as exc:
-            raise DomainError(f"gap table holds no field g = {exc.args[0]!r}") from None
+            ck = np.cos(k)
+            # cos k falls along the ascending grid, so its > 1/2 modes are a prefix
+            m = int(np.count_nonzero(ck > 0.5))
+            np.sin(k, out=sin_k[lo:hi])
+            base[lo:lo + m] = 2.0 * np.sin(0.5 * k[:m]) ** 2
+            np.negative(ck[m:], out=base[lo + m:hi])
+            split += m
+        sin_k.flags.writeable = base.flags.writeable = False
+        trig = sin_k, base, split
+    _trig_memo[grid.N] = trig
+    sin_k, base, split = trig
+    return lambda lo, hi: (sin_k[lo:hi], base[lo:hi], min(max(split - lo, 0), hi - lo))
 
 
 def gap_xy(k, p: XYParams):
@@ -379,12 +383,17 @@ def _gap_terms(ck: np.ndarray, s2: np.ndarray, g: float) -> np.ndarray:
 
 
 def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams,
-           rows: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+           rows: tuple[np.ndarray, np.ndarray, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     if rows is None:
         ck, sk = np.cos(k), np.sin(k)
         s2 = np.sin(0.5 * k) ** 2
-        rows = sk, _gap_terms(ck, s2, p1.g), _gap_terms(ck, s2, p2.g)
-    sk, a1, a2 = rows
+        a1, a2 = _gap_terms(ck, s2, p1.g), _gap_terms(ck, s2, p2.g)
+    else:  # _gap_terms by the same operations, as g - cos k is g + (-cos k)
+        sk, base, n = rows
+        a1, a2 = np.empty_like(base), np.empty_like(base)
+        for a, g in ((a1, p1.g), (a2, p2.g)):
+            np.add(g - 1.0, base[:n], out=a[:n])
+            np.add(g, base[n:], out=a[n:])
     p = a1 * a2 + p1.gamma * p2.gamma * sk * sk
     q = (p2.gamma * a1 - p1.gamma * a2) * sk
     return p, q
@@ -446,9 +455,10 @@ def excitation_probability(log_f):
     return -np.expm1(2.0 * log_f)
 
 
-def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple[np.ndarray, ...] | None = None):
-    """ln f_k of the XY pair: log_overlap of its p_k, q_k.  rows, from GapTable.rows
-    for these k, replaces the trigonometry with the table's bit-identical entries."""
+def log_abs_fk_xy(k, p1: XYParams, p2: XYParams,
+                  rows: tuple[np.ndarray, np.ndarray, int] | None = None):
+    """ln f_k of the XY pair: log_overlap of its p_k, q_k.  rows, the trig_rows of the
+    grid block whose momenta are k, replace the trigonometry bit for bit."""
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
     return log_overlap(*_pq_xy(k, p1, p2, rows))
 

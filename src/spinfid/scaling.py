@@ -90,14 +90,15 @@ def _c1_c2(a: float) -> tuple[float, float]:
 def _improper_quad(of_log_f, c: float) -> float:
     # of_log_f(ln f) of the XY kernel rescaled around its critical momentum,
     # p = l^2 + c^2 - 1 and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
-    # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; below the
-    # first split a decade ladder brackets the log singularity at l = 0 (|c| < 1).
+    # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; for |c| <= 1
+    # a decade ladder below the first split brackets the log singularity at l = 0,
+    # which |c| > 1 does not have.
     # The driver sees t = l / (L + l) in [0, 1), with dl = L dt / (1 - t)^2
     a = abs(float(c))
     s = abs(1.0 - a * a)
     inner = [s / 2.0, math.sqrt(s)] if 0.0 < s < 1.0 else []
     first = inner[0] if inner else 1.0
-    ladder = [first * 10.0 ** -e for e in range(12, 0, -1)]
+    ladder = [first * 10.0 ** -e for e in range(12, 0, -1)] if a <= 1.0 else []
     scale = max(8.0, math.sqrt(s))
 
     def integrand(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -255,26 +256,28 @@ def _require_gamma(spec: PathA, what: str) -> None:
                           f"to be a normal float, got gamma = {spec.gamma!r}")
 
 
-def closed_form_rate(spec: PathSpec) -> tuple[float, float, float]:
-    """The smooth thermodynamic-limit rate lim ln F / N of a path, as (rate, order, weight).
+def closed_form_rate(spec: PathSpec) -> tuple[float, float, float, str]:
+    """The smooth thermodynamic-limit rate lim ln F / N of a path, as (rate, order, weight, name).
 
     The one place each path's rate is written.  It leaves O(order / weight) of
-    the exact rate integral, and verify.residual normalizes by that.
+    the exact rate integral, and verify.residual normalizes by that; name
+    writes the divisor order / weight out.
     """
     spec = check_path(spec)
     d, c, e = abs(spec.delta), spec.c, abs(spec.eps)
     if isinstance(spec, PathA):
         _require_gamma(spec, "rate")
-        return -d * scaling_A(c) / spec.gamma, spec.delta ** 2, spec.gamma ** 3
+        return -d * scaling_A(c) / spec.gamma, spec.delta ** 2, spec.gamma ** 3, "delta^2/gamma^3"
     if isinstance(spec, PathB) or isinstance(spec, PathC) and e <= _CORNER_EPS:
-        return -2.0 * d * scaling_A(c), spec.delta ** 2, 1.0
+        return -2.0 * d * scaling_A(c), spec.delta ** 2, 1.0, "delta^2"
     if isinstance(spec, PathC):
-        return -spec.delta ** 2 / (8.0 * e * (1.0 + e) ** 2), spec.delta ** 4, 1.0
+        return -spec.delta ** 2 / (8.0 * e * (1.0 + e) ** 2), spec.delta ** 4, 1.0, "delta^4"
     if isinstance(spec, PathD):
         a2 = spec.alpha ** 2
-        return -d ** 1.5 * a2 * scaling_A_mcp(c) + spec.delta ** 2 * a2 / 4.0, d ** 2.5, 1.0
+        return (-d ** 1.5 * a2 * scaling_A_mcp(c) + spec.delta ** 2 * a2 / 4.0, d ** 2.5, 1.0,
+                "|delta|^(5/2)")
     if isinstance(spec, ExtIsingPath):
-        return -d * scaling_A_mps(c), spec.delta ** 2, 1.0
+        return -d * scaling_A_mps(c), spec.delta ** 2, 1.0, "delta^2"
     raise DomainError(f"unknown path spec {spec!r}")
 
 

@@ -47,9 +47,9 @@ class ErrorSample:
     """One residual evaluation on one path.
 
     E is the exact rate integral minus the path's closed-form rate, and
-    normalized is E divided by the order that rate leaves (the module
-    docstring lists it per path: E gamma^3 / delta^2 on PathA, E / delta^4
-    on PathC's non-universal branch, E / |delta|^{5/2} on PathD, E / delta^2
+    normalized is E divided by the order that rate leaves, which order names
+    (the module docstring lists it per path: delta^2/gamma^3 on PathA,
+    delta^4 on PathC's non-universal branch, |delta|^(5/2) on PathD, delta^2
     elsewhere).  delta and c are the path's; gamma, g and alpha are copied
     from the path fields of that name and stay None on paths without one.
     """
@@ -57,6 +57,7 @@ class ErrorSample:
     c: float
     E: float
     normalized: float
+    order: str
     gamma: Optional[float] = None
     g: Optional[float] = None
     alpha: Optional[float] = None
@@ -64,12 +65,12 @@ class ErrorSample:
 
 def residual(spec: PathSpec, tol: float = RESIDUAL_QUAD_TOL) -> ErrorSample:
     """Residual of the path's closed-form rate against the exact rate integral."""
-    rate, order, weight = closed_form_rate(spec)  # first: PathA at gamma = 0 has no rate
+    rate, order, weight, name = closed_form_rate(spec)  # first: PathA at gamma = 0 has no rate
     if order < sys.float_info.min:
         raise DomainError(f"the residual order of {type(spec).__name__} underflows at "
                           f"delta = {spec.delta!r}")
     E = fidelity_integral(*resolve_path(spec), tol=tol) - rate
-    return ErrorSample(E=E, normalized=E * weight / order,
+    return ErrorSample(E=E, normalized=E * weight / order, order=name,
                        **{f.name: getattr(spec, f.name) for f in fields(spec)})
 
 

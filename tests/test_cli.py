@@ -103,8 +103,9 @@ class TestBasics:
                               "--c-range", "0:1:2"], tmp_path)
         assert code == 0
         rows = data_section(text).strip().splitlines()
-        assert rows[0] == "gamma,delta,c,E,normalized"
+        assert rows[0] == "gamma,delta,c,E,normalized,order"
         assert abs(float(rows[1].split(",")[4])) < 0.25
+        assert rows[1].split(",")[5] == "delta^2/gamma^3"
 
     @pytest.mark.parametrize("which, flags, path", [
         ("pathC", [], lambda c: PathC(1e-3, c)),
@@ -116,10 +117,19 @@ class TestBasics:
                               "--c-range", "1:2:3"], tmp_path)
         assert code == 0
         header, *rows = data_section(text).strip().splitlines()
-        assert header == ",".join([*(f[2:] for f in flags[::2]), "delta", "c", "E", "normalized"])
+        assert header == ",".join([*(f[2:] for f in flags[::2]), "delta", "c", "E", "normalized",
+                                   "order"])
         for row, c in zip(rows, (1.0, 1.5, 2.0), strict=True):
             s = residual(path(c))
-            assert row.split(",")[-2:] == [cli._fmt(s.E), cli._fmt(s.normalized)]
+            assert row.split(",")[-3:] == [cli._fmt(s.E), cli._fmt(s.normalized), s.order]
+
+    def test_verify_rows_name_their_order(self, tmp_path):
+        # PathC's divisor switches from delta^2 to delta^4 where |eps| = c|delta| passes 0.1
+        code, text = run_cli(["verify", "--which", "pathC", "--delta", "1e-2",
+                              "--c-range", "0:20:5"], tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in data_section(text).strip().splitlines()[1:]]
+        assert [r[-1] for r in rows] == ["delta^2"] * 3 + ["delta^4"] * 2
 
     def test_verify_which_names_every_path(self, capsys):
         assert cli.main(["verify", "--which", "pathE", "--delta", "1e-3",

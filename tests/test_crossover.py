@@ -128,7 +128,7 @@ class TestSweepLnF:
 
     @pytest.mark.parametrize("N", [2 * 8192 + 2, 40002])
     def test_gamma_sweep_equals_direct_products(self, N):
-        # the sweep's gap table must not move a bit: gamma_crossing is compared exactly
+        # the per-N memo must not move a bit: gamma_crossing is compared exactly
         gammas = np.logspace(-4.0, 0.0, 17)
         y = [-fidelity_product(*resolve_path(PathA(g, 3e-7, -1.0)), N).lnF for g in gammas]
         assert np.array_equal(sweep_lnF("gamma", gammas, -1.0, N=N, delta=3e-7).minus_lnF, y)

@@ -15,6 +15,7 @@ from spinfid import (
     NumericsError,
     PathA,
     PathB,
+    PathC,
     PathD,
     XYParams,
     ed_fidelity,
@@ -35,7 +36,8 @@ from spinfid import (
     susceptibility_smallsystem,
 )
 from spinfid.fidelity import QuadResult, _bisect_root, exact_sum, piecewise_quad
-from spinfid.models import GapTable, MomentumGrid, log_abs_fk_extising, log_abs_fk_xy
+from spinfid import models
+from spinfid.models import MomentumGrid, log_abs_fk_extising, log_abs_fk_xy
 
 from conftest import even, every_panel_reports_error_one
 
@@ -213,30 +215,73 @@ class TestProductEngine:
         p1, p2 = resolve_path(PathA(0.01, 3e-7, -1.0))
         assert fidelity_product(p1, p2, N).lnF == _reference_lnF(p1, p2, N)
 
-    @pytest.mark.parametrize("N", [100, 2 * 8192 + 2, 40002])
-    def test_gap_table_keeps_the_bits(self, N):
-        pairs = [resolve_path(PathA(g, 3e-4, 0.7)) for g in (1e-4, 0.03, 1.0, 1.7)]
-        table = GapTable.build(MomentumGrid(N), [p.g for pair in pairs for p in pair])
-        for p1, p2 in pairs:
-            with_table = fidelity_product(p1, p2, N, keep_per_mode=True, table=table)
-            plain = fidelity_product(p1, p2, N, keep_per_mode=True)
-            assert with_table.lnF == plain.lnF
-            assert np.array_equal(with_table.per_mode, plain.per_mode)
-
-    def test_gap_table_must_match(self):
-        p1, p2 = resolve_path(PathA(0.5, 1e-3, 0.5))
-        table = GapTable.build(MomentumGrid(100), [p1.g, p2.g])
-        with pytest.raises(DomainError, match="N = 100"):
-            fidelity_product(p1, p2, 102, table=table)
-        q1, q2 = resolve_path(PathA(0.5, 2e-3, 0.5))
-        with pytest.raises(DomainError, match="no field"):
-            fidelity_product(q1, q2, 100, table=table)
-
     def test_exact_zero_past_the_first_block(self):
         N = 20000
         g = float(np.cos(MomentumGrid(N).modes)[9000])
         res = fidelity_product(XYParams(g, 0.1), XYParams(g, -0.1), N)
         assert res.exact_zero and res.lnF == -math.inf and res.F == 0.0
+
+
+def _xy_pairs(seed):
+    """Seeded PathA/B/C/D pairs and one random XYParams pair."""
+    rng = np.random.default_rng(seed)
+    d = lambda: float(10.0 ** rng.uniform(-7.0, -2.0))
+    specs = [PathA(float(10.0 ** rng.uniform(-3.0, 0.0)), d(), float(rng.uniform(-3.0, 3.0))),
+             PathB(float(rng.uniform(-0.99, 0.99)), d(), float(rng.uniform(-3.0, 3.0))),
+             PathC(d(), float(rng.uniform(-30.0, 30.0))),
+             PathD(float(10.0 ** rng.uniform(-1.0, 1.0)), d(), float(rng.uniform(1.0, 3.0)))]
+    return [resolve_path(s) for s in specs] + [
+        (XYParams(*rng.uniform(-2.0, 2.0, 2)), XYParams(*rng.uniform(-2.0, 2.0, 2)))]
+
+
+def _same(a, b):
+    return (a.lnF == b.lnF and a.exact_zero == b.exact_zero
+            and np.array_equal(a.per_mode, b.per_mode))
+
+
+class TestTrigMemo:
+    @pytest.mark.parametrize("N", [2, 4, 8190, 8192, 8194, 1 << 21, (1 << 21) + 2])
+    def test_cold_and_warm_memo_keep_the_bits(self, N):
+        for p1, p2 in _xy_pairs(N):
+            models._trig_memo.clear()
+            cold = fidelity_product(p1, p2, N, keep_per_mode=True)
+            warm = fidelity_product(p1, p2, N, keep_per_mode=True)
+            assert _same(cold, warm)
+            if N <= 8194:  # against one kernel call on the whole mode array, from k
+                assert cold.lnF == _reference_lnF(p1, p2, N)
+        # 2^21 + 2 is past the memo's 2^20 modes and streams
+        assert list(models._trig_memo) == ([] if N > 1 << 21 else [N])
+
+    def test_more_sizes_than_the_memo_holds_interleaved(self):
+        sizes = [100, 2000, 8194, 16386, 40002]
+        pairs = _xy_pairs(5)
+        want = {}
+        for N in sizes:
+            models._trig_memo.clear()
+            want[N] = [fidelity_product(p1, p2, N, keep_per_mode=True) for p1, p2 in pairs]
+        for _ in range(3):
+            for N in sizes:
+                got = [fidelity_product(p1, p2, N, keep_per_mode=True) for p1, p2 in pairs]
+                assert all(_same(a, b) for a, b in zip(got, want[N]))
+        assert list(models._trig_memo) == sizes[-3:]
+
+    def test_memo_arrays_are_read_only(self):
+        fidelity_product(*resolve_path(PathA(0.3, 1e-3, 0.5)), 1000)
+        sin_k, base, split = models._trig_memo[1000]
+        assert 0 < split < base.size == sin_k.size == 500
+        for arr in (sin_k, base):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_extended_chain_does_not_touch_the_memo(self):
+        models._trig_memo.clear()
+        for N in (2, 100, 8194, 40002):
+            fidelity_product(ExtIsingParams(1e-3), ExtIsingParams(-2e-3), N, keep_per_mode=True)
+        assert not models._trig_memo
+        fidelity_product(*resolve_path(PathA(0.3, 1e-3, 0.5)), 100)
+        fidelity_product(ExtIsingParams(1e-3), ExtIsingParams(-2e-3), 102)
+        assert list(models._trig_memo) == [100]
 
 
 class TestIntegral:

@@ -74,6 +74,17 @@ class TestAnyPath:
         assert (s.alpha, s.gamma, s.g) == (None, None, None)
         assert s.normalized == s.E / (-1e-3) ** 2
 
+    def test_order_names_the_divisor(self):
+        for spec, name, divisor in [
+                (PathA(0.5, 1e-3, 0.5), "delta^2/gamma^3", 1e-6 / 0.125),
+                (PathB(0.5, 1e-3, 0.5), "delta^2", 1e-6), (PathC(1e-3, 0.5), "delta^2", 1e-6),
+                (PathC(1e-3, 200.0), "delta^4", 1e-12),
+                (PathD(1.0, 1e-2, 1.5), "|delta|^(5/2)", 1e-5),
+                (ExtIsingPath(1e-3, 0.5), "delta^2", 1e-6)]:
+            s = residual(spec)
+            assert s.order == name
+            assert s.normalized == pytest.approx(s.E / divisor, rel=1e-12)
+
     def test_thin_wrappers_agree_with_residual(self):
         assert residual_pathA(0.7, 1e-3, 0.4) == residual(PathA(0.7, 1e-3, 0.4))
         assert residual_pathB(0.3, -1e-3, 1.2) == residual(PathB(0.3, -1e-3, 1.2))
