@@ -11,9 +11,8 @@ product engine makes the modes block by block from their indices, evaluates
 the kernel one grid block of 8192 modes at a time (its temporaries stay in
 cache, and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
 exact_sum, an exactly rounded bucket sum equal to math.fsum, and sums the
-chunk partials with math.fsum.  XY products at one of the three most recently
-used N up to 2^21 read sin k and the gap base from a per-N memo
-(models.trig_rows) and skip the trigonometry.  The
+chunk partials with math.fsum.  XY products at N <= 2^21 read sin k and the
+gap base from the per-N memo models.trig_rows and skip the trigonometry.  The
 thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
 so the integration interval is pre-split there (each zero polished by
@@ -114,10 +113,8 @@ def _log_kernel(p1: ModelParams, p2: ModelParams,
     p1.check_same_kind(p2)
     if isinstance(p1, XYParams):
         rows = None if grid is None else trig_rows(grid)
-        if rows is None:
-            return lambda k, *_: log_abs_fk_xy(k, p1, p2)
-        return lambda k, lo, hi: log_abs_fk_xy(k, p1, p2, rows(lo, hi))
-    return lambda k, *_: log_abs_fk_extising(k, p1.g, p2.g)
+        return lambda k, *block: log_abs_fk_xy(k, p1, p2, rows and rows(*block))
+    return lambda k, *block: log_abs_fk_extising(k, p1.g, p2.g)
 
 
 def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid) -> Iterator[np.ndarray]:

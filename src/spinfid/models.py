@@ -14,9 +14,8 @@ momentum grid k = (2n+1) pi / N and the ground-state overlap of two parameter
 sets factorizes into per-mode Bogoliubov factors f_k built from the kernels
 p_k, q_k below.  Kernels accept scalar or array momenta; grid membership is
 deliberately not enforced (quadrature needs off-grid evaluation).  The grid
-hands out its modes in index blocks, and trig_rows keeps sin k and the XY gap
-base of the three most recently used grids, which the kernel's p_k, q_k of any
-fields are formed from.
+hands out its modes in index blocks, and trig_rows memoizes sin k and the XY
+gap base, free of fields, for the three most recently used grids.
 
 One formula turns an XY mode's kernels into its overlap: log_overlap gives
 ln f from (p, q) without cancellation, and excitation_probability gives
@@ -326,20 +325,16 @@ class MomentumGrid:
             yield b, e, self.block(b, e)
 
 
-# The XY kernel's field-independent rows of the _TRIG_GRIDS most recently used grids
-# of at most _TRIG_MAX_MODES modes (16 MB each), by N: sin k, the gap base b, which is
-# 2 sin^2(k/2) on the first `split` modes (where cos k > 1/2) and -cos k beyond, and split.
+# trig_rows' memo by N: the _TRIG_GRIDS most recent grids of <= _TRIG_MAX_MODES modes (16 MB each)
 _TRIG_GRIDS, _TRIG_MAX_MODES = 3, 1 << 20
 _trig_memo: OrderedDict[int, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
 
 
 def trig_rows(grid: MomentumGrid):
-    """rows(lo, hi) -> (sin k, b, split counted from lo) of modes lo .. hi - 1, from the
-    per-N memo, or None for a grid past _TRIG_MAX_MODES modes.
-
-    A miss evicts the least recently used grid first, then fills the two
-    read-only arrays block by block.
-    """
+    """rows(lo, hi) -> (sin k, b, split) of modes lo .. hi - 1 from the per-N memo, or None
+    past _TRIG_MAX_MODES modes.  The gap base b is 2 sin^2(k/2) on the first split modes
+    (where cos k > 1/2) and -cos k beyond.  A miss evicts the least recently used
+    grid, then fills the two read-only arrays block by block."""
     if grid.size > _TRIG_MAX_MODES:
         return None
     trig = _trig_memo.pop(grid.N, None)
@@ -376,19 +371,15 @@ def gap_extising(k, p: ExtIsingParams):
     return out if out.ndim else float(out)
 
 
-def _gap_terms(ck: np.ndarray, s2: np.ndarray, g: float) -> np.ndarray:
-    # g - cos k from cos k and sin^2(k/2), switching to (g - 1) + 2 sin^2(k/2) on the
-    # cos k > 1/2 side where the direct difference loses absolute accuracy for g near 1
-    return np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck)
-
-
 def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams,
            rows: tuple[np.ndarray, np.ndarray, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # g - cos k, as (g - 1) + 2 sin^2(k/2) where cos k > 1/2: there the direct
+    # difference loses absolute accuracy for g near 1
     if rows is None:
         ck, sk = np.cos(k), np.sin(k)
         s2 = np.sin(0.5 * k) ** 2
-        a1, a2 = _gap_terms(ck, s2, p1.g), _gap_terms(ck, s2, p2.g)
-    else:  # _gap_terms by the same operations, as g - cos k is g + (-cos k)
+        a1, a2 = (np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck) for g in (p1.g, p2.g))
+    else:  # the same operations from the memo's rows, as g - cos k is g + (-cos k)
         sk, base, n = rows
         a1, a2 = np.empty_like(base), np.empty_like(base)
         for a, g in ((a1, p1.g), (a2, p2.g)):

@@ -90,9 +90,8 @@ def _c1_c2(a: float) -> tuple[float, float]:
 def _improper_quad(of_log_f, c: float) -> float:
     # of_log_f(ln f) of the XY kernel rescaled around its critical momentum,
     # p = l^2 + c^2 - 1 and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
-    # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; for |c| <= 1
-    # a decade ladder below the first split brackets the log singularity at l = 0,
-    # which |c| > 1 does not have.
+    # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; below the first
+    # split a decade ladder brackets the log singularity at l = 0, which only |c| <= 1 has.
     # The driver sees t = l / (L + l) in [0, 1), with dl = L dt / (1 - t)^2
     a = abs(float(c))
     s = abs(1.0 - a * a)
@@ -259,9 +258,8 @@ def _require_gamma(spec: PathA, what: str) -> None:
 def closed_form_rate(spec: PathSpec) -> tuple[float, float, float, str]:
     """The smooth thermodynamic-limit rate lim ln F / N of a path, as (rate, order, weight, name).
 
-    The one place each path's rate is written.  It leaves O(order / weight) of
-    the exact rate integral, and verify.residual normalizes by that; name
-    writes the divisor order / weight out.
+    The one place each path's rate is written.  It leaves O(order / weight) of the
+    exact rate integral, which verify.residual divides by and name spells out.
     """
     spec = check_path(spec)
     d, c, e = abs(spec.delta), spec.c, abs(spec.eps)

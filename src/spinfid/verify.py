@@ -47,11 +47,11 @@ class ErrorSample:
     """One residual evaluation on one path.
 
     E is the exact rate integral minus the path's closed-form rate, and
-    normalized is E divided by the order that rate leaves, which order names
-    (the module docstring lists it per path: delta^2/gamma^3 on PathA,
-    delta^4 on PathC's non-universal branch, |delta|^(5/2) on PathD, delta^2
-    elsewhere).  delta and c are the path's; gamma, g and alpha are copied
-    from the path fields of that name and stay None on paths without one.
+    normalized is E divided by the order that rate leaves, named by order:
+    delta^2/gamma^3 on PathA, delta^4 on PathC's non-universal branch,
+    |delta|^(5/2) on PathD, delta^2 elsewhere.  delta and c are the path's;
+    gamma, g and alpha are copied from the path fields of that name and stay
+    None on paths without one.
     """
     delta: float
     c: float
