@@ -373,20 +373,22 @@ def gap_extising(k, p: ExtIsingParams):
 
 def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams,
            rows: tuple[np.ndarray, np.ndarray, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # g - cos k, as (g - 1) + 2 sin^2(k/2) where cos k > 1/2: there the direct
-    # difference loses absolute accuracy for g near 1
+    # g - cos k, as (g - 1) + 2 sin^2(k/2) where cos k > 1/2 to keep its digits for g near 1
     if rows is None:
         ck, sk = np.cos(k), np.sin(k)
         s2 = np.sin(0.5 * k) ** 2
         a1, a2 = (np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck) for g in (p1.g, p2.g))
     else:  # the same operations from the memo's rows, as g - cos k is g + (-cos k)
         sk, base, n = rows
-        a1, a2 = np.empty_like(base), np.empty_like(base)
+        a1, a2 = np.add(p1.g, base), np.add(p2.g, base)
         for a, g in ((a1, p1.g), (a2, p2.g)):
             np.add(g - 1.0, base[:n], out=a[:n])
-            np.add(g, base[n:], out=a[n:])
-    p = a1 * a2 + p1.gamma * p2.gamma * sk * sk
-    q = (p2.gamma * a1 - p1.gamma * a2) * sk
+    # a1 a2 + gamma1 gamma2 sk sk and (gamma2 a1 - gamma1 a2) sk, by those operations in place
+    t = p1.gamma * p2.gamma * sk
+    p = np.add(a1 * a2, np.multiply(t, sk, out=t), out=t)
+    q = np.multiply(p2.gamma, a1, out=a1)
+    q -= np.multiply(p1.gamma, a2, out=a2)
+    q *= sk
     return p, q
 
 
@@ -446,8 +448,7 @@ def excitation_probability(log_f):
     return -np.expm1(2.0 * log_f)
 
 
-def log_abs_fk_xy(k, p1: XYParams, p2: XYParams,
-                  rows: tuple[np.ndarray, np.ndarray, int] | None = None):
+def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple | None = None):
     """ln f_k of the XY pair: log_overlap of its p_k, q_k.  rows, the trig_rows of the
     grid block whose momenta are k, replace the trigonometry bit for bit."""
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
