@@ -10,8 +10,8 @@ double well below N ~ 1e5, while ln F stays perfectly representable.  The
 product engine makes the modes block by block from their indices, evaluates
 the kernel one grid block of 8192 modes at a time (its temporaries stay in
 cache, and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
-exact_sum, an exactly rounded bucket sum equal to math.fsum, and sums the
-chunk partials with math.fsum.  XY products at N <= 2^21 read sin k and the
+exact_sum, exactly rounded by error-free extraction and equal to math.fsum, and
+sums the chunk partials with math.fsum.  XY products at N <= 2^21 read sin k and the
 gap base from the per-N memo models.trig_rows and skip the trigonometry.  The
 thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
@@ -54,40 +54,76 @@ _LOG_FLOOR = math.log(EXACT_ZERO_FLOOR)
 
 _CHUNK = 1 << 20  # modes per exact partial sum; the partials are summed once more
 
-# exact_sum: the fraction bits split off a double's top half, the largest
-# biased exponent summed by buckets (2^977, far from overflow), and the sizes
-# where bucketing beats math.fsum
-_TOP_HALF = ~((1 << 26) - 1)
-_EXP_MAX = 2000
-_SUM_MIN, _SUM_MAX, _SUM_BLOCK = 1024, 1 << 26, 1 << 15
+# exact_sum: the sizes where extraction beats math.fsum; values per extraction
+# block (2^_SUM_BITS); the extraction levels tried before math.fsum takes over;
+# the magnitude from which it takes over at once (2^26 terms below 2^996 and
+# their block partials sum to less than 2^1023); and the smallest exponent of
+# the splitting constant whose unit, 2^-53 of it, is still a normal double
+_SUM_MIN, _SUM_MAX = 1024, 1 << 26
+_SUM_BITS = 14
+_SUM_LEVELS = (2, 3, 4)
+_SUM_BIG = 2.0 ** 996
+_SUM_LOW_EXP = -1022 + 53
+
+
+def _extract(x: np.ndarray, levels: int) -> Optional[tuple[list[float], float]]:
+    # Block partials tau, whose exact sum is the total of x up to at most the
+    # returned bound; None where math.fsum has to take over.
+    taus: list[float] = []
+    bounds: list[float] = []
+    step = 1 << _SUM_BITS
+    q, r = np.empty(min(step, x.size)), np.empty(min(step, x.size))
+    for lo in range(0, x.size, step):
+        v = x[lo:lo + step]
+        m = max(v.max(), -v.min())
+        if not m < _SUM_BIG:
+            return None
+        if m == 0.0:
+            continue
+        qb, rb = q[:v.size], r[:v.size]
+        s = math.frexp(m)[1] + _SUM_BITS  # |v| <= 2^(s - _SUM_BITS), v.size <= 2^_SUM_BITS
+        for level in range(levels):
+            if s < _SUM_LOW_EXP:
+                return None
+            sigma = math.ldexp(1.0, s)
+            np.add(v, sigma, out=qb)
+            np.subtract(qb, sigma, out=qb)
+            taus.append(float(qb.sum()))
+            if level < levels - 1:
+                v = np.subtract(v, qb, out=rb)
+            s -= 53 - _SUM_BITS  # the rest is at most 2^(s - 53) = 2^(new s - _SUM_BITS)
+        bounds.append(math.ldexp(v.size, s - _SUM_BITS))
+    return taus, math.nextafter(math.fsum(bounds), math.inf) if bounds else 0.0
 
 
 def exact_sum(x: np.ndarray) -> float:
     """Exactly rounded sum of the float64 values of x; always equal to math.fsum(x).
 
-    After Zhu & Hayes' HybridSum (SIAM J. Sci. Comput. 31, 2981 (2009)):
-    each value is split into a top half carrying its sign, exponent and top
-    26 fraction bits and the remainder, which holds the low 26 bits, and
-    np.bincount sums each half per binary exponent.  All halves in one bucket
-    are whole multiples of that bucket's unit, so for up to 2^26 terms every
-    bucket sum stays below 2^53 units and is exact (subnormals included), and
-    math.fsum of the bucket sums rounds the exact total once.  Non-finite or
-    near-overflow input, and arrays too short to pay, go to math.fsum itself.
+    Error-free extraction after Rump, Ogita & Oishi (Accurate floating-point
+    summation I and II, SIAM J. Sci. Comput. 31 (2008)), on blocks of 2^14 values.  With sigma = 2^(e+14) and
+    every |v| <= 2^e, q = (v + sigma) - sigma is exact, a multiple of
+    2^(e+14-53) and at most 2^e in magnitude, so q.sum() is exact in any order
+    and so is the rest v - q, at most 2^(e+14-53).  Two such levels leave a
+    rest bounded by B = sum of (block size x its last unit); if math.fsum of
+    the block partials with -B and with +B agree, rounding being monotone, that
+    is the exactly rounded total.  Otherwise one more level is tried.
+    Non-finite or near-overflow input, a unit below the normal range, more
+    than four levels, and arrays too short to pay go to math.fsum itself.
     """
     x = np.ravel(np.asarray(x, dtype=np.float64))
     if not _SUM_MIN <= x.size <= _SUM_MAX:
         return math.fsum(x)
-    high, low = np.zeros(2048), np.zeros(2048)
-    for lo in range(0, x.size, _SUM_BLOCK):
-        v = x[lo:lo + _SUM_BLOCK]
-        bits = v.view(np.int64)
-        biased = (bits >> 52) & 0x7FF
-        if biased.max() > _EXP_MAX:
-            return math.fsum(x)
-        top = (bits & _TOP_HALF).view(np.float64)
-        high += np.bincount(biased, weights=top, minlength=2048)
-        low += np.bincount(biased, weights=v - top, minlength=2048)
-    return math.fsum(high[high != 0.0].tolist() + low[low != 0.0].tolist())
+    for levels in _SUM_LEVELS:
+        parts = _extract(x, levels)
+        if parts is None:
+            break
+        taus, bound = parts
+        if not taus:  # all zeros: the sign math.fsum gives them
+            return math.fsum(x[:1]) if np.signbit(x).all() else 0.0
+        low = math.fsum(taus + [-bound])
+        if low == math.fsum(taus + [bound]):
+            return low
+    return math.fsum(x)
 
 
 @dataclass(frozen=True)

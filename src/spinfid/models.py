@@ -499,8 +499,8 @@ def kc_anisotropic(g: float) -> float:
 def correlation_length_xy(p: XYParams) -> float:
     """Correlation length |1 / ln|(g - sqrt(g^2 - 1 + gamma^2)) / (1 - gamma)||.
 
-    The overall prefactor is conventionally fixed to 1; the value is used for
-    crossover heuristics only.  Inside g^2 + gamma^2 < 1 the square root goes
+    The overall prefactor is conventionally fixed to 1; nothing in the package
+    reads the value, which is exported for comparison with crossover scales.  Inside g^2 + gamma^2 < 1 the square root goes
     imaginary and the modulus is taken.  At gamma = 1 the printed expression
     degenerates to 0/0 with limit 1/g, recovering xi = 1/|ln g|.  Near the
     g = 1 line with gamma^2 >> |g - 1| it reduces to ~ gamma / |g - 1|.

@@ -90,12 +90,16 @@ def _c1_c2(a: float) -> tuple[float, float]:
 def _improper_quad(of_log_f, c: float) -> float:
     # of_log_f(ln f) of the XY kernel rescaled around its critical momentum,
     # p = l^2 + c^2 - 1 and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
-    # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; below the first
-    # split a decade ladder brackets the log singularity at l = 0, which only |c| <= 1 has.
+    # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; every decade
+    # between s/2 and 1 is split too, and below the first split a decade ladder
+    # brackets the log singularity at l = 0, which only |c| <= 1 has.
     # The driver sees t = l / (L + l) in [0, 1), with dl = L dt / (1 - t)^2
     a = abs(float(c))
     s = abs(1.0 - a * a)
-    inner = [s / 2.0, math.sqrt(s)] if 0.0 < s < 1.0 else []
+    inner = []
+    if 0.0 < s < 1.0:
+        decades = (10.0 ** e for e in range(math.floor(math.log10(s / 2.0)), 0))
+        inner = sorted({s / 2.0, math.sqrt(s), *(d for d in decades if d > s / 2.0)})
     first = inner[0] if inner else 1.0
     ladder = [first * 10.0 ** -e for e in range(12, 0, -1)] if a <= 1.0 else []
     scale = max(8.0, math.sqrt(s))

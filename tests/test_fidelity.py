@@ -36,7 +36,7 @@ from spinfid import (
     susceptibility_smallsystem,
 )
 from spinfid.fidelity import QuadResult, _bisect_root, exact_sum, piecewise_quad
-from spinfid import models
+from spinfid import fidelity, models
 from spinfid.models import MomentumGrid, log_abs_fk_extising, log_abs_fk_xy
 
 from conftest import even, every_panel_reports_error_one
@@ -189,6 +189,68 @@ class TestExactSum:
 
     def test_nan_propagates(self):
         assert math.isnan(exact_sum(np.array([1.0] * 2000 + [math.nan])))
+
+    @staticmethod
+    def assert_fsum(x):
+        got, want = exact_sum(x), math.fsum(x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1024, 40000), st.integers(0, 2 ** 32 - 1), st.integers(-1074, 1000),
+           st.integers(0, 1000), st.sampled_from(["mixed", "positive", "negative", "cancel"]),
+           st.floats(0.0, 0.9))
+    def test_equals_math_fsum_property(self, size, seed, low, span, signs, zeros):
+        rng = np.random.default_rng(seed)
+        exponents = np.minimum(rng.integers(low, low + span + 1, size), 1000)
+        x = rng.uniform(1.0, 2.0, size) * 2.0 ** exponents
+        x[rng.random(size) < zeros] = 0.0
+        if signs == "mixed":
+            x *= rng.choice([-1.0, 1.0], size)
+        elif signs == "negative":
+            x = -x
+        elif signs == "cancel":
+            half = x[: size // 2]
+            x = np.concatenate([half, -half[::-1], x[size // 2:size // 2 + size % 2]])
+            rng.shuffle(x)
+        self.assert_fsum(x)
+
+    @pytest.mark.parametrize("size", [1023, 1024, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 1 << 20])
+    def test_sizes_around_the_floor_and_the_block(self, size):
+        rng = np.random.default_rng(size)
+        self.assert_fsum(rng.standard_normal(size) * 10.0 ** rng.uniform(-5.0, 5.0, size))
+
+    def test_all_zero_block_between_nonzero_ones(self):
+        x = np.random.default_rng(3).standard_normal(3 << 14)
+        x[1 << 14:2 << 14] = 0.0
+        x[(1 << 14) + 7] = -0.0
+        self.assert_fsum(x)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_same_sign_from_two_to_the_minus_1000_to_one(self, sign):
+        x = sign * 2.0 ** -np.random.default_rng(5).uniform(0.0, 1000.0, 20000)
+        self.assert_fsum(np.concatenate([x, [sign, sign * 2.0 ** -1000]]))
+
+    @pytest.mark.parametrize("top, extracted", [(math.nextafter(fidelity._SUM_BIG, 0.0), True),
+                                                (fidelity._SUM_BIG, False)])
+    def test_magnitudes_at_the_overflow_threshold(self, top, extracted):
+        rng = np.random.default_rng(9)
+        x = np.concatenate([top * rng.choice([-1.0, 1.0], 4096) * rng.uniform(0.5, 1.0, 4096),
+                            [top, top, -top], rng.standard_normal(2000) * 1e290])
+        assert (fidelity._extract(x, 2) is not None) == extracted
+        self.assert_fsum(x)
+
+    @pytest.mark.parametrize("rest, levels", [([], None), ([2.0 ** -70], 3)])
+    def test_rounding_midpoint_needs_more_than_two_levels(self, rest, levels):
+        # 1 + 2^-53 lies halfway between 1 and the next double: the bound of two
+        # levels straddles it, and only a third level (2^-70 off the tie) or
+        # math.fsum itself (on the tie) decides
+        x = np.concatenate([np.zeros(1500), [1.0, 2.0 ** -53], rest])
+        taus, bound = fidelity._extract(x, 2)
+        assert math.fsum(taus + [-bound]) != math.fsum(taus + [bound])
+        if levels is not None:
+            taus, bound = fidelity._extract(x, levels)
+            assert math.fsum(taus + [-bound]) == math.fsum(taus + [bound])
+        self.assert_fsum(x)
 
 
 def _reference_lnF(p1, p2, N):

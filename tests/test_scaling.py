@@ -150,6 +150,40 @@ def large_c_reference(c: float) -> tuple[float, float]:
         return float(A), float(mpmath.quad(excited, edges) / mpmath.pi)
 
 
+def near_unit_reference(c: float) -> tuple[float, float]:
+    """A(c) and B(c) from their defining integrals at 40 digits, split at s/2,
+    sqrt(s), every decade between s/2 and 1, and 8 (s = |1 - c^2|)."""
+    with mpmath.workdps(40):
+        a = abs(mpmath.mpf(c))
+        s = abs(1 - a * a)
+
+        def excited(l):  # 1 - f^2, cancellation-free on either sign of p = l^2 + c^2 - 1
+            x = l * l + a * a - 1
+            r = mpmath.sqrt(x * x + 4 * l * l)
+            return 2 * l * l / (r * (r + x)) if x > 0 else (r - x) / (2 * r)
+
+        def log_f2(l):
+            x = l * l + a * a - 1
+            r = mpmath.sqrt(x * x + 4 * l * l)
+            return mpmath.log1p(-excited(l)) if x > 0 else mpmath.log(2 * l * l / (r * (r - x)))
+
+        decades = [mpmath.mpf(10) ** e for e in range(-15, 0) if 10.0 ** e > s / 2]
+        edges = sorted({0, s / 2, mpmath.sqrt(s), *decades, 1, 8}) + [mpmath.inf]
+        A = -mpmath.quad(log_f2, edges) / (4 * mpmath.pi)
+        return float(A), float(mpmath.quad(excited, edges) / mpmath.pi)
+
+
+@pytest.mark.parametrize("c", [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-10, 1.0 + 1e-10,
+                               1.0 - 1e-6, 1.0 + 1e-6])
+def test_quadrature_near_unit_c_matches_high_precision(c):
+    # at |1 - c| = 1e-12 six decades lie between s/2 and sqrt(s), and six more up
+    # to 1; unsplit, A was off by 5.5e-12 and B by 2.8e-12 with the estimate under budget
+    A, B = near_unit_reference(c)
+    for sign in (1.0, -1.0):
+        assert scaling_A_quadrature(sign * c) == pytest.approx(A, rel=1e-14, abs=0.0)
+        assert scaling_B_quadrature(sign * c) == pytest.approx(B, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("c", [30.0, 1e3, 1e6, 5.0005e7])
 def test_past_the_closed_form_matches_high_precision(c):
     # beyond |c| = 10 the elliptic assembly cancels (negative A at 5.0005e7); quadrature holds
