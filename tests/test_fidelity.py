@@ -239,17 +239,16 @@ class TestExactSum:
         assert (fidelity._extract(x, 2) is not None) == extracted
         self.assert_fsum(x)
 
-    @pytest.mark.parametrize("rest, levels", [([], None), ([2.0 ** -70], 3)])
-    def test_rounding_midpoint_needs_more_than_two_levels(self, rest, levels):
+    @pytest.mark.parametrize("rest, deciding", [([], []), ([2.0 ** -70], [3])])
+    def test_rounding_midpoint_needs_more_than_two_levels(self, rest, deciding):
         # 1 + 2^-53 lies halfway between 1 and the next double: the bound of two
         # levels straddles it, and only a third level (2^-70 off the tie) or
         # math.fsum itself (on the tie) decides
         x = np.concatenate([np.zeros(1500), [1.0, 2.0 ** -53], rest])
-        taus, bound = fidelity._extract(x, 2)
-        assert math.fsum(taus + [-bound]) != math.fsum(taus + [bound])
-        if levels is not None:
-            taus, bound = fidelity._extract(x, levels)
-            assert math.fsum(taus + [-bound]) == math.fsum(taus + [bound])
+        bounds = [fidelity._extract(x, levels) for levels in fidelity._SUM_LEVELS]
+        decided = [levels for levels, (taus, bound) in zip(fidelity._SUM_LEVELS, bounds)
+                   if math.fsum(taus + [-bound]) == math.fsum(taus + [bound])]
+        assert decided[:1] == deciding
         self.assert_fsum(x)
 
 
