@@ -55,20 +55,19 @@ _LOG_FLOOR = math.log(EXACT_ZERO_FLOOR)
 _CHUNK = 1 << 20  # modes per exact partial sum; the partials are summed once more
 
 # exact_sum: the sizes where extraction beats math.fsum; values per extraction
-# block (2^_SUM_BITS); the extraction levels tried before math.fsum takes over;
-# the magnitude from which it takes over at once (2^26 terms below 2^996 and
-# their block partials sum to less than 2^1023); and the smallest exponent of
-# the splitting constant whose unit, 2^-53 of it, is still a normal double
+# block (2^_SUM_BITS); the magnitude from which math.fsum takes over at once
+# (2^26 terms below 2^996 and their block partials sum to less than 2^1023);
+# and the smallest exponent of the splitting constant whose unit, 2^-53 of it,
+# is still a normal double
 _SUM_MIN, _SUM_MAX = 1024, 1 << 26
 _SUM_BITS = 14
-_SUM_LEVELS = (2, 3, 4)
 _SUM_BIG = 2.0 ** 996
 _SUM_LOW_EXP = -1022 + 53
 
 
-def _extract(x: np.ndarray, levels: int) -> Optional[tuple[list[float], float]]:
-    # Block partials tau, whose exact sum is the total of x up to at most the
-    # returned bound; None where math.fsum has to take over.
+def _extract(x: np.ndarray) -> Optional[tuple[list[float], float]]:
+    # Two levels of block partials tau, whose exact sum is the total of x up to
+    # at most the returned bound; None where math.fsum has to take over.
     taus: list[float] = []
     bounds: list[float] = []
     step = 1 << _SUM_BITS
@@ -82,14 +81,14 @@ def _extract(x: np.ndarray, levels: int) -> Optional[tuple[list[float], float]]:
             continue
         qb, rb = q[:v.size], r[:v.size]
         s = math.frexp(m)[1] + _SUM_BITS  # |v| <= 2^(s - _SUM_BITS), v.size <= 2^_SUM_BITS
-        for level in range(levels):
+        for last in (False, True):
             if s < _SUM_LOW_EXP:
                 return None
             sigma = math.ldexp(1.0, s)
             np.add(v, sigma, out=qb)
             np.subtract(qb, sigma, out=qb)
             taus.append(float(qb.sum()))
-            if level < levels - 1:
+            if not last:
                 v = np.subtract(v, qb, out=rb)
             s -= 53 - _SUM_BITS  # the rest is at most 2^(s - 53) = 2^(new s - _SUM_BITS)
         bounds.append(math.ldexp(v.size, s - _SUM_BITS))
@@ -106,17 +105,15 @@ def exact_sum(x: np.ndarray) -> float:
     and so is the rest v - q, at most 2^(e+14-53).  Two such levels leave a
     rest bounded by B = sum of (block size x its last unit); if math.fsum of
     the block partials with -B and with +B agree, rounding being monotone, that
-    is the exactly rounded total.  Otherwise one more level is tried.
-    Non-finite or near-overflow input, a unit below the normal range, more
-    than four levels, and arrays too short to pay go to math.fsum itself.
+    is the exactly rounded total.  Otherwise, and for non-finite or
+    near-overflow input, a unit below the normal range and arrays too short to
+    pay, math.fsum(x) gives it.
     """
     x = np.ravel(np.asarray(x, dtype=np.float64))
     if not _SUM_MIN <= x.size <= _SUM_MAX:
         return math.fsum(x)
-    for levels in _SUM_LEVELS:
-        parts = _extract(x, levels)
-        if parts is None:
-            break
+    parts = _extract(x)
+    if parts is not None:
         taus, bound = parts
         if not taus:  # all zeros: the sign math.fsum gives them
             return math.fsum(x[:1]) if np.signbit(x).all() else 0.0

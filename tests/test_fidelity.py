@@ -236,19 +236,16 @@ class TestExactSum:
         rng = np.random.default_rng(9)
         x = np.concatenate([top * rng.choice([-1.0, 1.0], 4096) * rng.uniform(0.5, 1.0, 4096),
                             [top, top, -top], rng.standard_normal(2000) * 1e290])
-        assert (fidelity._extract(x, 2) is not None) == extracted
+        assert (fidelity._extract(x) is not None) == extracted
         self.assert_fsum(x)
 
-    @pytest.mark.parametrize("rest, deciding", [([], []), ([2.0 ** -70], [3])])
-    def test_rounding_midpoint_needs_more_than_two_levels(self, rest, deciding):
-        # 1 + 2^-53 lies halfway between 1 and the next double: the bound of two
-        # levels straddles it, and only a third level (2^-70 off the tie) or
-        # math.fsum itself (on the tie) decides
+    @pytest.mark.parametrize("rest", [[], [2.0 ** -70]])
+    def test_rounding_midpoint_goes_to_math_fsum(self, rest):
+        # 1 + 2^-53 lies halfway between 1 and the next double: the bound left by
+        # the two levels straddles it, on the tie and 2^-70 off it, so math.fsum decides
         x = np.concatenate([np.zeros(1500), [1.0, 2.0 ** -53], rest])
-        bounds = [fidelity._extract(x, levels) for levels in fidelity._SUM_LEVELS]
-        decided = [levels for levels, (taus, bound) in zip(fidelity._SUM_LEVELS, bounds)
-                   if math.fsum(taus + [-bound]) == math.fsum(taus + [bound])]
-        assert decided[:1] == deciding
+        taus, bound = fidelity._extract(x)
+        assert math.fsum(taus + [-bound]) != math.fsum(taus + [bound])
         self.assert_fsum(x)
 
 

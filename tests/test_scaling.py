@@ -152,7 +152,8 @@ def large_c_reference(c: float) -> tuple[float, float]:
 
 def near_unit_reference(c: float) -> tuple[float, float]:
     """A(c) and B(c) from their defining integrals at 40 digits, split at s/2,
-    sqrt(s), every decade between s/2 and 1, and 8 (s = |1 - c^2|)."""
+    sqrt(s) (s = |1 - c^2|) and every half-decade from 1e-16 to 10, with
+    mpmath's error estimate held far below the tolerance checked."""
     with mpmath.workdps(40):
         a = abs(mpmath.mpf(c))
         s = abs(1 - a * a)
@@ -167,10 +168,11 @@ def near_unit_reference(c: float) -> tuple[float, float]:
             r = mpmath.sqrt(x * x + 4 * l * l)
             return mpmath.log1p(-excited(l)) if x > 0 else mpmath.log(2 * l * l / (r * (r - x)))
 
-        decades = [mpmath.mpf(10) ** e for e in range(-15, 0) if 10.0 ** e > s / 2]
-        edges = sorted({0, s / 2, mpmath.sqrt(s), *decades, 1, 8}) + [mpmath.inf]
-        A = -mpmath.quad(log_f2, edges) / (4 * mpmath.pi)
-        return float(A), float(mpmath.quad(excited, edges) / mpmath.pi)
+        halves = [mpmath.mpf(10) ** (mpmath.mpf(e) / 2) for e in range(-32, 3)]
+        edges = sorted({0, s / 2, mpmath.sqrt(s), *halves}) + [mpmath.inf]
+        (A, A_err), (B, B_err) = (mpmath.quad(f, edges, error=True) for f in (log_f2, excited))
+        assert A_err < 1e-20 * abs(A) and B_err < 1e-20 * abs(B)
+        return float(-A / (4 * mpmath.pi)), float(B / mpmath.pi)
 
 
 @pytest.mark.parametrize("c", [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-10, 1.0 + 1e-10,
