@@ -25,14 +25,19 @@ sqrt(2) lift (PathA and universal PathC for |c| < 1, the extended chain at
 |c| = 1), the oscillation amplitude (PathB and the extended chain for
 |c| < 1), or none.
 
-A and B are piecewise combinations of complete elliptic integrals with
-arguments c1 = -4|c|/(|c|-1)^2 and c2 = ((|c|+1)/(|c|-1))^2; both stay
-continuous across |c| = 1, where c1, c2 blow up, and the assembly cancels as
-|c| grows (relative error 5e-14 at |c| = 10, 2e-3 at 1e6), so inside
-_UNIT_WINDOW = 1e-9 of |c| = 1 and beyond _CLOSED_FORM_MAX = 10 the closed
-form is replaced by direct quadrature of the underlying scaled integral.  The
-quadrature forms (gated by their error estimate) are exposed as *_quadrature
-so the elliptic assembly can be checked against an independent route.  Their
+A and B are complete elliptic integrals K = K(m), E = E(m) of one real
+parameter, m = c^2 for |c| <= 1 and m = 1/c^2 beyond, with y = 1 - m formed
+as a product so that it keeps its digits next to |c| = 1:
+
+    |c| <= 1:   A = 1/4 - [E - y K] / 2 pi,     B = E / pi
+    |c| >= 1:   A = |c| [pi/2 - E] / 2 pi,      B = |c| m y R_D(0, 1, y) / 3 pi
+
+Both rows give A(1) = 1/4 - 1/2 pi and B(1) = 1/pi.  No bracket cancels: past
+|c| = sqrt(2) (m <= 1/2) pi/2 - E is (pi/2 - K) + (m/3) R_D(0, y, 1), with
+pi/2 - K from the AGM's deviation from 1 (specfun), so one route holds at
+every |c| up to MAX_FIELD.  The quadrature forms (gated by their error
+estimate) are exposed as *_quadrature so the closed forms can be checked
+against an independent route.  Their
 integrands are the XY kernel itself: rescaled around the critical momentum
 (k = |d| l / gamma on PathA), p_k / d^2 and q_k / d^2 become p = l^2 + c^2 - 1
 and q = 2l, and with f from models.log_overlap
@@ -67,7 +72,7 @@ from .models import (
     kc_anisotropic,
     log_overlap,
 )
-from .specfun import elliptic_E, elliptic_K
+from .specfun import _agm, _carlson_rd, _elliptic_E, elliptic_E, elliptic_K
 
 #: Critical exponents of the regimes handled here (metadata, never computed).
 #: d = 1 throughout; the multicritical entry is the paramagnetic-side value.
@@ -78,18 +83,9 @@ CRITICAL_EXPONENTS = {
     "multicritical_paramagnetic": {"nu": 0.5, "d": 1},
 }
 
-_UNIT_WINDOW = 1e-9
-_CLOSED_FORM_MAX = 10.0
-
-
-def _c1_c2(a: float) -> tuple[float, float]:
-    d = (a - 1.0) ** 2
-    return -4.0 * a / d, (a + 1.0) ** 2 / d
-
-
 def _improper_quad(of_log_f, c: float) -> float:
     # of_log_f(ln f) of the XY kernel rescaled around its critical momentum,
-    # p = l^2 + c^2 - 1 and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
+    # p = l^2 + (|c| - 1)(|c| + 1) and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
     # and l ~ sqrt(s), s = |1 - c^2|, and falls off as 1/l^2 beyond L; every decade
     # between s/2 and 1 is split too, and below the first split a decade ladder
     # brackets the log singularity at l = 0, which only |c| <= 1 has.
@@ -107,7 +103,7 @@ def _improper_quad(of_log_f, c: float) -> float:
     def integrand(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         u = 1.0 - t
         l = scale * t / u
-        return of_log_f(log_overlap(l * l + a * a - 1.0, 2.0 * l)) * (scale / (u * u))
+        return of_log_f(log_overlap(l * l + (a - 1.0) * (a + 1.0), 2.0 * l)) * (scale / (u * u))
 
     edges = [l / (scale + l) for l in (0.0, *ladder, *inner, 1.0, 8.0)] + [1.0]
     # the integral falls off as 1/L (A ~ 1/16|c|), and so does its budget
@@ -124,42 +120,47 @@ def scaling_B_quadrature(c: float) -> float:
     return _improper_quad(excitation_probability, c) / math.pi
 
 
-def _by_quadrature(c: float) -> tuple[float, bool]:
+def _modulus(c: float) -> tuple[float, float, float]:
+    # |c|, the parameter m = c^2 (|c| <= 1) or 1/c^2 (beyond), and y = 1 - m
+    # formed as a product so that it keeps its digits next to |c| = 1
     a = abs(float(c))
-    if not a <= MAX_FIELD:  # the quadrature's S (S + p) ~ c^4 overflows from |c| ~ 1e77
+    if not a <= MAX_FIELD:  # the bound of every field (models.MAX_FIELD)
         raise DomainError(f"c must be finite and at most {MAX_FIELD:g} in magnitude")
-    return a, abs(a - 1.0) < _UNIT_WINDOW or a > _CLOSED_FORM_MAX
+    if a <= 1.0:
+        return a, a * a, (1.0 - a) * (1.0 + a)
+    return a, 1.0 / (a * a), ((a - 1.0) / a) * ((a + 1.0) / a)
 
 
 def scaling_A(c: float) -> float:
     """Scaling function of the Ising-line crossing; A(0) = 1/4, A(c) ~ 1/16|c|.
 
-    Piecewise elliptic form with K at c1 <= 0 and Im E at c2 >= 1; even in c
-    and continuous (with a logarithmically divergent derivative) at |c| = 1.
-    Near |c| = 1 and beyond |c| = 10 the quadrature route supplies the value.
+    With m = c^2, y = 1 - m for |c| < 1, A = 1/4 - [E(m) - y K(m)] / 2 pi; with
+    m = 1/c^2 beyond, A = |c| [pi/2 - E(m)] / 2 pi, whose bracket at m <= 1/2 is
+    (pi/2 - K) + (m/3) R_D(0, y, 1) with pi/2 - K from the AGM's deviation.
+    Even in c and continuous (with a logarithmically divergent derivative) at |c| = 1.
     """
-    a, by_quadrature = _by_quadrature(c)
-    if by_quadrature:
-        return scaling_A_quadrature(a)
-    c1, c2 = _c1_c2(a)
-    term_k = a * elliptic_K(c1).real / (2.0 * math.pi)
-    term_e = (a - 1.0) * elliptic_E(c2).imag / (4.0 * math.pi)
+    a, m, y = _modulus(c)
     if a < 1.0:
-        return 0.25 + term_k + term_e
-    return 0.25 * a - term_k - term_e
+        return 0.25 - (elliptic_E(m) - y * elliptic_K(m)) / (2.0 * math.pi)
+    if m > 0.5:
+        deficit = (0.5 * math.pi - _elliptic_E(m, y)) / m
+    else:
+        mean, deviation = _agm(y)
+        deficit = 0.5 * math.pi * deviation / mean + _carlson_rd(0.0, y, 1.0) / 3.0
+    # |c| m = 1 / |c|, and deficit = (pi/2 - E) / m
+    return deficit / (2.0 * math.pi * a)
 
 
 def scaling_B(c: float) -> float:
-    """Scaling function of the excitation density; B(0) = 1/2, B(c) ~ 1/4|c|; routed as A."""
-    a, by_quadrature = _by_quadrature(c)
-    if by_quadrature:
-        return scaling_B_quadrature(a)
-    c1, c2 = _c1_c2(a)
-    k = elliptic_K(c1).real
-    ime = elliptic_E(c2).imag
-    if a < 1.0:
-        return ((1.0 - a) * ime + 2.0 * k) / (2.0 * math.pi)
-    return ((a - 1.0) * ime - 2.0 * k) / (2.0 * math.pi)
+    """Scaling function of the excitation density; B(0) = 1/2, B(c) ~ 1/4|c|.
+
+    B = E(m) / pi for |c| <= 1, and |c| m y R_D(0, 1, y) / 3 pi beyond, with m and
+    y = 1 - m as in scaling_A.
+    """
+    a, m, y = _modulus(c)
+    if a <= 1.0:
+        return _elliptic_E(m, y) / math.pi
+    return y * _carlson_rd(0.0, 1.0, y) / (3.0 * math.pi * a)
 
 
 def scaling_dB_dc_near1(c: float) -> float:

@@ -14,18 +14,11 @@ def quad_elliptic_K(m: float) -> float:
     return val
 
 
-def quad_elliptic_E(m: float) -> complex:
-    """Defining integral of E(m) with sqrt(negative) = +i sqrt|.| (independent oracle)."""
-    if m <= 1.0:
-        re, _ = quad(lambda p: math.sqrt(max(1.0 - m * math.sin(p) ** 2, 0.0)),
-                     0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-        return complex(re, 0.0)
-    phi0 = math.asin(1.0 / math.sqrt(m))
-    re, _ = quad(lambda p: math.sqrt(max(1.0 - m * math.sin(p) ** 2, 0.0)),
-                 0.0, phi0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    im, _ = quad(lambda p: math.sqrt(max(m * math.sin(p) ** 2 - 1.0, 0.0)),
-                 phi0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return complex(re, im)
+def quad_elliptic_E(m: float) -> float:
+    """Defining integral of E(m) for m <= 1, adaptive quadrature (independent oracle)."""
+    val, _ = quad(lambda p: math.sqrt(max(1.0 - m * math.sin(p) ** 2, 0.0)),
+                  0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    return val
 
 
 def every_panel_reports_error_one(monkeypatch):

@@ -113,7 +113,8 @@ UNIT_WINDOW_REFERENCES = [
 
 @pytest.mark.parametrize("c, A, B", UNIT_WINDOW_REFERENCES)
 def test_unit_window_quadrature_matches_high_precision(c, A, B):
-    # inside |1 - |c|| < 1e-9 both functions come from quadrature alone
+    # next to |c| = 1 the closed forms keep their digits through y = 1 - m formed
+    # as a product
     for sign in (1.0, -1.0):
         assert abs(scaling_A(sign * c) - A) < 1e-14
         assert abs(scaling_B(sign * c) - B) < 1e-14
@@ -188,7 +189,7 @@ def test_quadrature_near_unit_c_matches_high_precision(c):
 
 @pytest.mark.parametrize("c", [30.0, 1e3, 1e6, 5.0005e7])
 def test_past_the_closed_form_matches_high_precision(c):
-    # beyond |c| = 10 the elliptic assembly cancels (negative A at 5.0005e7); quadrature holds
+    # pi/2 - E ~ pi m / 8 comes from the AGM's deviation from 1, so nothing cancels as |c| grows
     A, B = large_c_reference(c)
     for sign in (1.0, -1.0):
         assert scaling_A(sign * c) == pytest.approx(A, rel=1e-15, abs=0.0)
@@ -202,6 +203,42 @@ def test_c_up_to_the_field_bound(fn, tail):
     assert fn(MAX_FIELD) == pytest.approx(tail / MAX_FIELD, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError, match="at most"):
         fn(2.0 * MAX_FIELD)
+
+
+def closed_form_points() -> list[float]:
+    """Seeded c over [0, 3], log-uniform up to MAX_FIELD, and within 1e-15 ... 1e-9 of |c| = 1."""
+    rng = np.random.default_rng(19)
+    n = 60
+    near = 1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15.0, -9.0, n)
+    cs = np.concatenate([rng.uniform(0.0, 3.0, n),
+                         10.0 ** rng.uniform(0.0, math.log10(MAX_FIELD), n), near])
+    return [float(c) for c in cs * rng.choice([-1.0, 1.0], cs.size)]
+
+
+def test_closed_forms_match_quadrature_at_every_c():
+    # one closed-form route at every |c|, the old quadrature window around |c| = 1 included
+    for c in closed_form_points():
+        assert scaling_A(c) == pytest.approx(scaling_A_quadrature(c), rel=1e-14, abs=0.0), c
+        assert scaling_B(c) == pytest.approx(scaling_B_quadrature(c), rel=1e-14, abs=0.0), c
+
+
+def elliptic_reference(c: float) -> tuple[float, float]:
+    """A(c) and B(c) from mpmath's ellipk and ellipe, with digits to spare for pi/2 - E ~ pi m/8."""
+    a = abs(mpmath.mpf(c))
+    with mpmath.workdps(40 + (2 * int(mpmath.log10(a)) if a > 1 else 0)):
+        m = a * a if a <= 1 else 1 / (a * a)
+        E, K = mpmath.ellipe(m), mpmath.ellipk(m)
+        if a <= 1:
+            return float(0.25 - (E - (1 - m) * K) / (2 * mpmath.pi)), float(E / mpmath.pi)
+        return (float(a * (mpmath.pi / 2 - E) / (2 * mpmath.pi)),
+                float(a * (E - (1 - m) * K) / mpmath.pi))
+
+
+def test_closed_forms_match_mpmath_elliptic_integrals():
+    for c in closed_form_points():
+        A, B = elliptic_reference(c)
+        assert scaling_A(c) == pytest.approx(A, rel=1e-14, abs=0.0), c
+        assert scaling_B(c) == pytest.approx(B, rel=1e-14, abs=0.0), c
 
 
 class TestScalingB:

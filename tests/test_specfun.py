@@ -35,12 +35,11 @@ def test_E_trivial_values():
     assert elliptic_E(1.0) == complex(1.0)
 
 
-def test_E_above_one_matches_split_quadrature():
-    got = elliptic_E(4.0)
-    want = quad_elliptic_E(4.0)
-    assert got.real == pytest.approx(want.real, abs=1e-12)
-    assert got.imag == pytest.approx(want.imag, abs=1e-12)
-    assert got.imag > 0.0
+def test_E_rejects_m_above_one():
+    # E leaves the real axis past m = 1; both integrals are real floats below it
+    with pytest.raises(DomainError, match="m > 1"):
+        elliptic_E(1.0 + 1e-10)
+    assert type(elliptic_E(0.5)) is float and type(elliptic_K(0.5)) is float
 
 
 def test_quadrature_equivalence_random_parameters(rng):
@@ -59,25 +58,9 @@ def test_K_strictly_decreasing():
     assert all(a > b for a, b in zip(vals[1:], vals[:-1]))
 
 
-def test_E_continuous_across_one():
-    # |E'| grows like ln|1-m|/2 near 1, so the bracket must be tight enough
-    below = elliptic_E(1.0 - 1e-10)
-    above = elliptic_E(1.0 + 1e-10)
-    assert below.real == pytest.approx(1.0, abs=1e-8)
-    assert above.real == pytest.approx(1.0, abs=1e-8)
-    assert abs(above.real - below.real) < 1e-8
-
-
-def test_E_above_one_imaginary_part_sign_on_grid(rng):
-    for m in rng.uniform(1.001, 200.0, size=25):
-        got = elliptic_E(m)
-        want = quad_elliptic_E(m)
-        assert got.imag == pytest.approx(want.imag, rel=1e-10)
-
-
 def test_branch_consistency_against_scaled_integral(rng):
-    # the +i branch must reproduce the closed-form assembly of the scaled
-    # log-kernel integral over the whole c range (one value per window)
+    # the closed form built from K and E must reproduce the scaled log-kernel
+    # integral over the whole c range
     cs = rng.uniform(0.02, 3.0, size=50)
     cs = cs[np.abs(cs - 1.0) > 1e-3]
     for c in cs:
