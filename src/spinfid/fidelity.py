@@ -7,12 +7,14 @@ antiperiodic momentum grid,
 
 and is accumulated here in the log domain: near criticality F underflows a
 double well below N ~ 1e5, while ln F stays perfectly representable.  The
-product engine makes the modes block by block from their indices, evaluates
-the kernel one grid block of 8192 modes at a time (its temporaries stay in
-cache, and no array of all N/2 modes is held), sums each chunk of 2^20 modes with
-exact_sum, exactly rounded by error-free extraction and equal to math.fsum, and
-sums the chunk partials with math.fsum.  XY products at N <= 2^21 read sin k and the
-gap base from the per-N memo models.trig_rows and skip the trigonometry.  The
+product engine walks the grid one block of 8192 modes at a time (the kernel's
+temporaries stay in cache, and no array of all N/2 modes is held), and the
+kernel writes each block's ln|f_k| straight into its chunk of 2^20 modes.  Each
+chunk is summed with exact_sum, exactly rounded by error-free extraction and
+equal to math.fsum, and the chunk partials with math.fsum.  XY products at
+N <= 2^21 hand the kernel the block's rows of the per-N memo models.trig_rows
+(sin k and the gap base), so a memo hit makes no momenta and no trigonometry;
+the extended chain and larger N get momenta made from their indices.  The
 thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
 so the integration interval is pre-split there (each zero polished by
@@ -138,30 +140,33 @@ class FidelityResult:
     per_mode: Optional[np.ndarray] = None
 
 
-def _log_kernel(p1: ModelParams, p2: ModelParams,
-                grid: Optional[MomentumGrid] = None) -> Callable[..., np.ndarray]:
-    # Selected here rather than by the parameter classes so that every kernel
-    # call looks up this module's log_abs_fk_xy / log_abs_fk_extising.  Over a
-    # grid, kernel(k, lo, hi) takes the block's mode indices too, for the memo.
+def _log_kernel(p1: ModelParams, p2: ModelParams, grid: Optional[MomentumGrid] = None
+                ) -> tuple[Callable[..., np.ndarray], Optional[Callable[[int, int], object]]]:
+    # kernel(x, out=None) gives ln|f_k| at x, written into out when given.  Selected
+    # here rather than by the parameter classes so that every kernel call looks up
+    # this module's log_abs_fk_xy / log_abs_fk_extising.  Over a grid, modes(lo, hi)
+    # gives what the kernel reads for modes lo .. hi - 1: an XY grid's memo rows where
+    # trig_rows keeps them, so no momenta are made, and the momenta otherwise.
     p1.check_same_kind(p2)
+    modes = None if grid is None else grid.block
     if isinstance(p1, XYParams):
         rows = None if grid is None else trig_rows(grid)
-        return lambda k, *block: log_abs_fk_xy(k, p1, p2, rows and rows(*block))
-    return lambda k, *block: log_abs_fk_extising(k, p1.g, p2.g)
+        return (lambda x, out=None: log_abs_fk_xy(x, p1, p2, out)), rows or modes
+    return (lambda x, out=None: log_abs_fk_extising(x, p1.g, p2.g, out)), modes
 
 
 def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid) -> Iterator[np.ndarray]:
     """ln|f_k| over the grid in ascending k, one array per _CHUNK modes.
 
-    Each chunk is filled by one kernel call per grid block, with the modes
-    made from their indices, so no array of all N/2 modes is held.
+    Each chunk is filled in place by one kernel call per grid block, so no
+    array of all N/2 modes is held.
     """
-    kernel = _log_kernel(p1, p2, grid)
+    kernel, modes = _log_kernel(p1, p2, grid)
     for lo in range(0, grid.size, _CHUNK):
         hi = min(lo + _CHUNK, grid.size)
         vals = np.empty(hi - lo)
-        for b, e, k in grid.blocks(lo, hi):
-            vals[b - lo:e - lo] = kernel(k, b, e)
+        for b, e in grid.blocks(lo, hi):
+            kernel(modes(b, e), vals[b - lo:e - lo])
         yield vals
 
 
@@ -189,7 +194,8 @@ def fidelity_product(p1: ModelParams, p2: ModelParams, N: int,
     not depend on the block size and repeated runs are bit-identical.  Any
     mode with |f_k| below EXACT_ZERO_FLOOR makes the product an exact zero
     and sets the flag.  An XY product at N <= 2^21 reads its trigonometry from
-    the per-N memo of models.trig_rows, filled on a miss, with the same bits.
+    the per-N memo of models.trig_rows, filled on a miss, with the same bits,
+    and makes no momenta on a hit.
     """
     grid = MomentumGrid(N)
     chunks = log_mode_chunks(p1, p2, grid)
@@ -403,7 +409,7 @@ def k_integral(p1: ModelParams, p2: ModelParams,
     is one, and kernel zeros are polished to within an ulp), which moves the
     integral by < 1e-14 in measure.  A non-finite value raises NumericsError.
     """
-    kernel = _log_kernel(p1, p2)
+    kernel, _ = _log_kernel(p1, p2)
 
     def integrand(k: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         end = np.where(k - lo <= hi - k, lo, hi)

@@ -15,11 +15,15 @@ sets factorizes into per-mode Bogoliubov factors f_k built from the kernels
 p_k, q_k below.  Kernels accept scalar or array momenta; grid membership is
 deliberately not enforced (quadrature needs off-grid evaluation).  The grid
 hands out its modes in index blocks, and trig_rows memoizes sin k and the XY
-gap base, free of fields, for the three most recently used grids.
+gap base, free of fields, for the three most recently used grids; the XY
+kernel reads a block's TrigRows in place of its momenta, so a memo hit makes
+none.
 
 One formula turns an XY mode's kernels into its overlap: log_overlap gives
-ln f from (p, q) without cancellation, and excitation_probability gives
-1 - f^2 from ln f.  Every XY route reads them: the product, fidelity_integral
+ln f from (p, q) without cancellation, in one pass written into the caller's
+array, with S = sqrt(p^2 + q^2) by the square root wherever q^2 and p^2 + q^2
+are normal doubles and by hypot, mode by mode, elsewhere; excitation_probability
+gives 1 - f^2 from ln f.  Every XY route reads them: the product, fidelity_integral
 and the quench mode sum and k-integral through log_abs_fk_xy, and the scaled
 A/B integrals of scaling at the rescaled kernels p = l^2 + c^2 - 1, q = 2l.
 The extended chain's signed factor has its own ln|f_k| (log_abs_fk_extising).
@@ -49,7 +53,9 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,11 +324,23 @@ class MomentumGrid:
         return self.block(0, self.size)
 
     def blocks(self, lo: int = 0, hi: int | None = None):
-        """(start, stop, modes) of consecutive blocks of at most BLOCK modes over lo .. hi - 1."""
+        """(start, stop) of consecutive blocks of at most BLOCK modes over lo .. hi - 1."""
         hi = self.size if hi is None else hi
         for b in range(lo, hi, self.BLOCK):
-            e = min(b + self.BLOCK, hi)
-            yield b, e, self.block(b, e)
+            yield b, min(b + self.BLOCK, hi)
+
+
+class TrigRows(NamedTuple):
+    """The memo rows of one block of grid modes: sin k, the gap base b, and split,
+    the number of leading modes whose b is 2 sin^2(k/2) (the rest hold -cos k)."""
+    sin_k: np.ndarray
+    base: np.ndarray
+    split: int
+
+    @property
+    def size(self) -> int:
+        """Number of modes, as for an array of their momenta."""
+        return self.sin_k.size
 
 
 # trig_rows' memo by N: the _TRIG_GRIDS most recent grids of <= _TRIG_MAX_MODES modes (16 MB each)
@@ -331,10 +349,10 @@ _trig_memo: OrderedDict[int, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
 
 
 def trig_rows(grid: MomentumGrid):
-    """rows(lo, hi) -> (sin k, b, split) of modes lo .. hi - 1 from the per-N memo, or None
+    """rows(lo, hi) -> the TrigRows of modes lo .. hi - 1 from the per-N memo, or None
     past _TRIG_MAX_MODES modes.  The gap base b is 2 sin^2(k/2) on the first split modes
     (where cos k > 1/2) and -cos k beyond.  A miss evicts the least recently used
-    grid, then fills the two read-only arrays block by block."""
+    grid, then fills the two read-only arrays block by block; a hit makes no momenta."""
     if grid.size > _TRIG_MAX_MODES:
         return None
     trig = _trig_memo.pop(grid.N, None)
@@ -342,7 +360,8 @@ def trig_rows(grid: MomentumGrid):
         while len(_trig_memo) >= _TRIG_GRIDS:
             _trig_memo.popitem(last=False)
         sin_k, base, split = np.empty(grid.size), np.empty(grid.size), 0
-        for lo, hi, k in grid.blocks():
+        for lo, hi in grid.blocks():
+            k = grid.block(lo, hi)
             ck = np.cos(k)
             # cos k falls along the ascending grid, so its > 1/2 modes are a prefix
             m = int(np.count_nonzero(ck > 0.5))
@@ -354,7 +373,7 @@ def trig_rows(grid: MomentumGrid):
         trig = sin_k, base, split
     _trig_memo[grid.N] = trig
     sin_k, base, split = trig
-    return lambda lo, hi: (sin_k[lo:hi], base[lo:hi], min(max(split - lo, 0), hi - lo))
+    return lambda lo, hi: TrigRows(sin_k[lo:hi], base[lo:hi], min(max(split - lo, 0), hi - lo))
 
 
 def gap_xy(k, p: XYParams):
@@ -371,18 +390,18 @@ def gap_extising(k, p: ExtIsingParams):
     return out if out.ndim else float(out)
 
 
-def _pq_xy(k: np.ndarray, p1: XYParams, p2: XYParams,
-           rows: tuple[np.ndarray, np.ndarray, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _pq_xy(x, p1: XYParams, p2: XYParams) -> tuple[np.ndarray, np.ndarray]:
     # g - cos k, as (g - 1) + 2 sin^2(k/2) where cos k > 1/2 to keep its digits for g near 1
-    if rows is None:
-        ck, sk = np.cos(k), np.sin(k)
-        s2 = np.sin(0.5 * k) ** 2
-        a1, a2 = (np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck) for g in (p1.g, p2.g))
-    else:  # the same operations from the memo's rows, as g - cos k is g + (-cos k)
-        sk, base, n = rows
-        a1, a2 = np.add(p1.g, base), np.add(p2.g, base)
+    if isinstance(x, TrigRows):  # the same operations from the memo, as g - cos k is g + (-cos k)
+        sk, base, n = x
+        a1, a2 = np.empty(sk.size), np.empty(sk.size)
         for a, g in ((a1, p1.g), (a2, p2.g)):
             np.add(g - 1.0, base[:n], out=a[:n])
+            np.add(g, base[n:], out=a[n:])
+    else:
+        ck, sk = np.cos(x), np.sin(x)
+        s2 = np.sin(0.5 * x) ** 2
+        a1, a2 = (np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck) for g in (p1.g, p2.g))
     # a1 a2 + gamma1 gamma2 sk sk and (gamma2 a1 - gamma1 a2) sk, by those operations in place
     t = p1.gamma * p2.gamma * sk
     p = np.add(a1 * a2, np.multiply(t, sk, out=t), out=t)
@@ -408,37 +427,78 @@ def _raise_if_degenerate(p: np.ndarray, q: np.ndarray) -> None:
             "the mode overlap factor is undefined")
 
 
-def log_overlap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+# log_overlap takes S = sqrt(p^2 + q^2) where q^2 and p^2 + q^2 lie in this range
+_SQUARE_MIN, _SQUARE_MAX = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
+_QUIET = nullcontext()
+
+
+def _fallback(p: np.ndarray, q: np.ndarray, q2: np.ndarray, s2: np.ndarray):
+    # The modes whose q^2 or p^2 + q^2 is not a normal, finite double (a boolean
+    # mask), with their p, q and S = hypot(p, q).  Where both |p| and |q| are below
+    # 1/2 they are first scaled up by one power of two, which is exact and leaves f
+    # unchanged, so that the larger lies in [1/2, 1) and a q^2 that would underflow
+    # keeps its digits; p = q = 0 stays 0.
+    bad = ~((q2 >= _SQUARE_MIN) & (s2 <= _SQUARE_MAX))
+    pb, qb = p[bad], q[bad]
+    e = np.minimum(np.frexp(np.maximum(np.abs(pb), np.abs(qb)))[1], 0)
+    pb, qb = np.ldexp(pb, -e), np.ldexp(qb, -e)
+    sb = np.hypot(pb, qb)
+    if not sb.all():  # S = 0 exactly where p = q = 0
+        _raise_if_degenerate(pb, qb)
+    return bad, pb, qb, sb
+
+
+def log_overlap(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ln f of one mode from its kernels p and q (arrays of one shape), without cancellation.
 
-    f^2 = (S + p) / (2 S) with S = sqrt(p^2 + q^2).  For p > 0 the direct form
-    loses all digits once f is close to 1, so the equivalent
-    ln f = (1/2) log1p(-q^2 / (2 S (S + p))) is used there; for p <= 0 the
-    factored form (S + p) = q^2 / (S - p) is exact.  Returns -inf where f = 0
+    f^2 = (S + p) / (2 S) with S = sqrt(p^2 + q^2), formed by the square root
+    wherever q^2 and p^2 + q^2 are normal, finite doubles.  Elsewhere, mode by
+    mode, S = hypot(p, q), with p and q first scaled up by a power of two where
+    both are below 1/2, so that q^2 does not underflow where the ratio of q to p
+    is representable, and no mode's bits depend on the others in the array.  For
+    p > 0 the direct form loses all digits once f is close to 1, so the
+    equivalent ln f = (1/2) log1p(-q^2 / (2 S (S + p))) is used there; for p <= 0
+    the factored form (S + p) = q^2 / (S - p) is exact.  Returns -inf where f = 0
     (q = 0 with p < 0) and raises DegenerateModeError where p = q = 0.  Where
     q^2 / (S - p) underflows (q != 0) its log is 2 ln|q| - ln(S - p), so such a
-    mode stays finite; the p > 0 form needs S^2 in float range.
+    mode stays finite; the p > 0 form needs S^2 in float range.  The result is
+    written into out (an array of p's shape) when given, and returned.
     """
-    s = np.hypot(p, q)
-    if not s.all():  # s = 0 exactly where p = q = 0
-        _raise_if_degenerate(p, q)
-    pos = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    out = np.multiply(q, q, out=out)
+    if not out.size:
+        return out
+    s = np.multiply(p, p)
+    s += out
+    normal = _SQUARE_MIN <= out.min() and s.max() <= _SQUARE_MAX
+    if normal:
+        np.sqrt(s, out=s)
+    else:
+        bad, pb, qb, sb = _fallback(p, q, out, s)
+        np.sqrt(s, out=s)
+        s[bad] = sb
+        p, q = p.copy(), q.copy()
+        p[bad], q[bad] = pb, qb
+        out[bad] = qb * qb
+    pos = p.min() > 0.0
+    # with every p > 0 and every S from the square root no mode can warn of 0/0 or log(0)
+    with _QUIET if pos and normal else np.errstate(divide="ignore", invalid="ignore"):
         # the p > 0 form on every mode, in place: (1/2) log1p(q^2 / (-2 s (s + p)));
         # on p <= 0, where it may read 0/0 or log1p(-1), the factored form replaces it
-        out, den = np.square(q), np.multiply(-2.0, s)
-        np.multiply(den, np.add(s, p), out=den)
-        np.divide(out, den, out=out)
+        den = np.add(s, p)
+        den *= s
+        den *= -2.0
+        out /= den
         np.log1p(out, out=out)
-        np.multiply(0.5, out, out=out)
-        if not pos.all():
-            neg = ~pos
+        out *= 0.5
+        if not pos:
+            neg = p <= 0.0  # and nan p, whose s is nan in either form
             sn, qn = s[neg], q[neg]
             dn = sn - p[neg]
             ratio = qn ** 2 / dn
             ln_sp = np.log(ratio)
-            low = np.flatnonzero((ratio < np.finfo(np.float64).tiny) & (qn != 0.0))
-            ln_sp[low] = 2.0 * np.log(np.abs(qn[low])) - np.log(dn[low])
+            low = np.flatnonzero((ratio < _SQUARE_MIN) & (qn != 0.0))
+            if low.size:
+                ln_sp[low] = 2.0 * np.log(np.abs(qn[low])) - np.log(dn[low])
             out[neg] = 0.5 * (ln_sp - np.log(2.0 * sn))
     return out
 
@@ -448,11 +508,15 @@ def excitation_probability(log_f):
     return -np.expm1(2.0 * log_f)
 
 
-def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, rows: tuple | None = None):
-    """ln f_k of the XY pair: log_overlap of its p_k, q_k.  rows, the trig_rows of the
-    grid block whose momenta are k, replace the trigonometry bit for bit."""
-    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    return log_overlap(*_pq_xy(k, p1, p2, rows))
+def log_abs_fk_xy(k, p1: XYParams, p2: XYParams, out: np.ndarray | None = None):
+    """ln f_k of the XY pair: log_overlap of its p_k, q_k, written into out when given.
+
+    k is the momenta, or the TrigRows of a block of grid modes, which stand in
+    for the block's momenta bit for bit without any being made.
+    """
+    if not isinstance(k, TrigRows):
+        k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    return log_overlap(*_pq_xy(k, p1, p2), out=out)
 
 
 def fk_xy(k, p1: XYParams, p2: XYParams):
@@ -479,14 +543,18 @@ def fk_extising(k, g1: float, g2: float):
     return out if np.ndim(k) else float(out[0])
 
 
-def log_abs_fk_extising(k, g1: float, g2: float):
-    """ln |f_k| for the extended chain, stable near |f_k| = 1; -inf at zeros."""
+def log_abs_fk_extising(k, g1: float, g2: float, out: np.ndarray | None = None):
+    """ln |f_k| for the extended chain, stable near |f_k| = 1; -inf at zeros.
+    Written into out when given."""
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
     p, q = _pq_extising(k, g1, g2)
     _raise_if_degenerate(p, q)
     # |f| = |p| / hypot(p, q), so ln|f| = -(1/2) log1p((q/p)^2); p = 0 gives -inf
     with np.errstate(divide="ignore"):
-        return -0.5 * np.log1p((q / p) ** 2)
+        r = np.divide(q, p, out=q)
+        out = np.log1p(np.square(r, out=r), out=out)
+        out *= -0.5
+        return out
 
 
 def kc_anisotropic(g: float) -> float:

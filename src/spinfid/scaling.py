@@ -36,8 +36,8 @@ Both rows give A(1) = 1/4 - 1/2 pi and B(1) = 1/pi.  No bracket cancels: past
 |c| = sqrt(2) (m <= 1/2) pi/2 - E is (pi/2 - K) + (m/3) R_D(0, y, 1), with
 pi/2 - K from the AGM's deviation from 1 (specfun), so one route holds at
 every |c| up to MAX_FIELD.  The quadrature forms (gated by their error
-estimate) are exposed as *_quadrature so the closed forms can be checked
-against an independent route.  Their
+estimate, and bounded by MAX_FIELD as the closed forms are) are exposed as
+*_quadrature so the closed forms can be checked against an independent route.  Their
 integrands are the XY kernel itself: rescaled around the critical momentum
 (k = |d| l / gamma on PathA), p_k / d^2 and q_k / d^2 become p = l^2 + c^2 - 1
 and q = 2l, and with f from models.log_overlap
@@ -83,6 +83,16 @@ CRITICAL_EXPONENTS = {
     "multicritical_paramagnetic": {"nu": 0.5, "d": 1},
 }
 
+
+def _abs_field(c: float) -> float:
+    # |c| within the bound of every field (models.MAX_FIELD), which keeps the
+    # rescaled kernel's p^2 + q^2 in float range at every quadrature node
+    a = abs(float(c))
+    if not a <= MAX_FIELD:
+        raise DomainError(f"c must be finite and at most {MAX_FIELD:g} in magnitude")
+    return a
+
+
 def _improper_quad(of_log_f, c: float) -> float:
     # of_log_f(ln f) of the XY kernel rescaled around its critical momentum,
     # p = l^2 + (|c| - 1)(|c| + 1) and q = 2l, over l in [0, inf).  It turns over at l ~ s/2
@@ -90,7 +100,7 @@ def _improper_quad(of_log_f, c: float) -> float:
     # between s/2 and 1 is split too, and below the first split a decade ladder
     # brackets the log singularity at l = 0, which only |c| <= 1 has.
     # The driver sees t = l / (L + l) in [0, 1), with dl = L dt / (1 - t)^2
-    a = abs(float(c))
+    a = _abs_field(c)
     s = abs(1.0 - a * a)
     inner = []
     if 0.0 < s < 1.0:
@@ -123,9 +133,7 @@ def scaling_B_quadrature(c: float) -> float:
 def _modulus(c: float) -> tuple[float, float, float]:
     # |c|, the parameter m = c^2 (|c| <= 1) or 1/c^2 (beyond), and y = 1 - m
     # formed as a product so that it keeps its digits next to |c| = 1
-    a = abs(float(c))
-    if not a <= MAX_FIELD:  # the bound of every field (models.MAX_FIELD)
-        raise DomainError(f"c must be finite and at most {MAX_FIELD:g} in magnitude")
+    a = _abs_field(c)
     if a <= 1.0:
         return a, a * a, (1.0 - a) * (1.0 + a)
     return a, 1.0 / (a * a), ((a - 1.0) / a) * ((a + 1.0) / a)

@@ -273,6 +273,21 @@ class TestProductEngine:
         p1, p2 = resolve_path(PathA(0.01, 3e-7, -1.0))
         assert fidelity_product(p1, p2, N).lnF == _reference_lnF(p1, p2, N)
 
+    @pytest.mark.parametrize("N", [100_002, (1 << 21) + 2])
+    @pytest.mark.parametrize("spec", [PathA(0.02, 1e-3, 0.5), PathB(0.4, 1e-3, 0.3)], ids=repr)
+    def test_block_size_does_not_move_the_bits(self, spec, N, monkeypatch):
+        # each mode's S comes from the square root or hypot by its own p and q, so the
+        # layout of the blocks cannot reach the bits, on the memo (N <= 2^21) or past it
+        p1, p2 = resolve_path(spec)
+        p, _ = models._pq_xy(MomentumGrid(N).modes, p1, p2)
+        assert np.any(p <= 0.0)  # |c| < 1 puts p <= 0 modes near the gap
+        got = []
+        for block in (1000, 8192, 16384):
+            monkeypatch.setattr(MomentumGrid, "BLOCK", block)
+            models._trig_memo.clear()
+            got.append(fidelity_product(p1, p2, N).lnF)
+        assert got[0] == got[1] == got[2]
+
     def test_exact_zero_past_the_first_block(self):
         N = 20000
         g = float(np.cos(MomentumGrid(N).modes)[9000])
@@ -340,6 +355,43 @@ class TestTrigMemo:
         fidelity_product(*resolve_path(PathA(0.3, 1e-3, 0.5)), 100)
         fidelity_product(ExtIsingParams(1e-3), ExtIsingParams(-2e-3), 102)
         assert list(models._trig_memo) == [100]
+
+
+class TestKernelTrace:
+    """What a tracer wrapping the kernel names sees: one call per block, sized by np.size
+    of its first argument, adding up to the N/2 modes of the product."""
+
+    @staticmethod
+    def traced_modes(monkeypatch) -> list[int]:
+        sizes: list[int] = []
+        for name in ("log_abs_fk_xy", "log_abs_fk_extising"):
+            def traced(*args, _fn=getattr(fidelity, name), **kwargs):
+                sizes.append(int(np.size(args[0])))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(fidelity, name, traced)
+        return sizes
+
+    @pytest.mark.parametrize("case", ["memo hit", "memo miss", "past the memo", "extended chain"])
+    def test_modes_add_up_to_half_of_N(self, case, monkeypatch):
+        N = (1 << 21) + 2 if case == "past the memo" else 100_002
+        pair = ((ExtIsingParams(1e-3), ExtIsingParams(-2e-3)) if case == "extended chain"
+                else resolve_path(PathA(0.02, 1e-3, 0.5)))
+        models._trig_memo.clear()
+        if case == "memo hit":
+            fidelity_product(*pair, N)
+        sizes = self.traced_modes(monkeypatch)
+        fidelity_product(*pair, N)
+        assert sum(sizes) == N // 2
+        assert len(sizes) == -(-(N // 2) // MomentumGrid.BLOCK)
+
+    def test_a_memo_hit_makes_no_momenta(self, monkeypatch):
+        pair = resolve_path(PathA(0.02, 1e-3, 0.5))
+        want = fidelity_product(*pair, 100_002).lnF
+
+        def refuse(self, lo, hi):
+            raise AssertionError("momenta made on a memo hit")
+        monkeypatch.setattr(MomentumGrid, "block", refuse)
+        assert fidelity_product(*pair, 100_002).lnF == want
 
 
 class TestIntegral:

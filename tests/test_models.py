@@ -324,6 +324,59 @@ class TestLogOverlap:
         p, q = rng.normal(size=(2, 7, 15))
         assert np.array_equal(log_overlap(p, q), log_overlap(p.ravel(), q.ravel()).reshape(7, 15))
 
+    @staticmethod
+    def below_the_square_root(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+        # |p|, |q| in [1e-170, 1e-150], across the edge near 1.5e-154 below which
+        # p^2 + q^2 underflows and S is no longer its square root
+        sign = lambda: rng.choice([-1.0, 1.0], n)  # noqa: E731
+        return (sign() * 10.0 ** rng.uniform(-170.0, -150.0, n),
+                sign() * 10.0 ** rng.uniform(-170.0, -150.0, n))
+
+    def test_underflowing_squares_match_the_reference(self, rng):
+        p, q = self.below_the_square_root(rng, 400)
+        tiny = np.finfo(np.float64).tiny
+        fallback = (q * q < tiny) | (p * p + q * q < tiny)
+        assert 100 < np.count_nonzero(fallback) < 400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_f = log_overlap(p, q)
+        # 100 digits: at |q/p| down to 1e-20, S + p cancels 40 of them when p < 0
+        ref = np.array([self.reference(a, b, dps=100)[0] for a, b in zip(p, q)])
+        # modes scaled into [1/2, 1) by the fallback, and every p > 0 mode, to 1e-14
+        strict = fallback | (p > 0.0)
+        assert log_f[strict] == pytest.approx(ref[strict], rel=1e-14, abs=0.0)
+        # p <= 0 on the square-root side: the factored form subtracts ln(2S) ~ -350
+        # from ln(q^2 / (S - p)), each within an ulp of about 6e-14
+        s, want = np.hypot(p, q)[~strict], ref[~strict]
+        bound = 1e-14 * np.abs(want) + 2.0 * np.spacing(np.abs(np.log(2.0 * s)))
+        assert np.all(np.abs(log_f[~strict] - want) <= bound)
+
+    def test_a_mode_keeps_its_bits_among_others(self, rng):
+        # the fallback is per mode: the same values alone, one by one, or mixed into
+        # normal ones give the same bits
+        tiny_p, tiny_q = self.below_the_square_root(rng, 50)
+        alone = log_overlap(tiny_p, tiny_q)
+        assert np.array_equal(alone, [log_overlap(tiny_p[i:i + 1], tiny_q[i:i + 1])[0]
+                                      for i in range(50)])
+        p, q = np.concatenate([self.seeded(rng, 100)[case] for case in ("p > 0", "p < 0")], axis=1)
+        at = np.sort(rng.choice(p.size + 50, 50, replace=False))  # where they land
+        before = at - np.arange(50)
+        mixed = log_overlap(np.insert(p, before, tiny_p), np.insert(q, before, tiny_q))
+        assert np.array_equal(mixed[at], alone)
+        assert np.array_equal(np.delete(mixed, at), log_overlap(p, q))
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["normal", "with underflow"])
+    def test_out_is_written_in_place(self, rng, fallback):
+        p, q = rng.normal(size=(2, 64))
+        if fallback:
+            p[::7], q[::7] = self.below_the_square_root(rng, p[::7].size)
+        p0, q0 = p.copy(), q.copy()
+        out = np.full(64, np.nan)
+        got = log_overlap(p, q, out=out)
+        assert got is out
+        assert np.array_equal(out, log_overlap(p, q))
+        assert np.array_equal(p, p0) and np.array_equal(q, q0)  # the inputs are left as they were
+
 
 class TestMomentumGrid:
     def test_blocks_are_slices_of_the_modes(self):

@@ -1,6 +1,7 @@
 """Scaling functions, assembled predictions, and the pinch-point derivative."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -203,6 +204,19 @@ def test_c_up_to_the_field_bound(fn, tail):
     assert fn(MAX_FIELD) == pytest.approx(tail / MAX_FIELD, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError, match="at most"):
         fn(2.0 * MAX_FIELD)
+
+
+@pytest.mark.parametrize("c", [1e51, 1e80, 1e200, math.inf, -math.inf, math.nan],
+                         ids=["1e51", "1e80", "1e200", "+inf", "-inf", "nan"])
+@pytest.mark.parametrize("fn", [scaling_A_quadrature, scaling_B_quadrature],
+                         ids=lambda fn: fn.__name__)
+def test_quadrature_past_the_field_bound_raises(fn, c):
+    # past MAX_FIELD the integrand's S (S + p) overflows; the quadrature refuses c
+    # as the closed forms do, with no numerics warning or error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="c must be finite and at most"):
+            fn(c)
 
 
 def closed_form_points() -> list[float]:
