@@ -19,7 +19,12 @@ thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
 so the integration interval is pre-split there (each zero polished by
 bisection to within an ulp) and around the gap-closing momenta of either
-state, with geometric ladders around every split point.
+state, with geometric ladders around every split point: down to pi 1e-15
+from either end of [0, pi] and to 1e-13 from every inner split point, so
+adaptive refinement does not spend its rounds halving the panel next to a
+singularity down to those widths.  Only a node where ln|f_k| comes out
+non-finite (one on the rounding interval of a zero) is moved, to the nearest
+momentum of its own piece where it is finite.
 
 piecewise_quad, the one quadrature driver of the package, integrates finite
 pieces, all at once, with the G7K15 Gauss-Kronrod rule and QUADPACK's error
@@ -217,8 +222,8 @@ def _ladder(anchor: float, scales: tuple[float, ...]) -> list[float]:
     return pts
 
 
-_END_SCALES = tuple(math.pi * 10.0 ** e for e in range(-12, 0)) + (math.pi * 0.3,)
-_INNER_SCALES = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
+_END_SCALES = tuple(math.pi * 10.0 ** e for e in range(-15, 0)) + (math.pi * 0.3,)
+_INNER_SCALES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
 
 
 def integration_breakpoints(p1: ModelParams, p2: ModelParams) -> list[float]:
@@ -226,9 +231,10 @@ def integration_breakpoints(p1: ModelParams, p2: ModelParams) -> list[float]:
 
     Collects the analytic zeros of f_k (where q_k = 0 with p_k < 0 for the XY
     kernel, p_k = 0 for the extended one), the gap-minimum momenta of either
-    state, and geometric ladders around each of these and both interval ends,
-    so that arbitrarily narrow dips are bracketed before adaptive subdivision
-    starts.
+    state, and geometric ladders around each of these (1e-13 ... 1e-1) and
+    both interval ends (pi 1e-15 ... 0.3 pi), so that arbitrarily narrow dips
+    are bracketed before adaptive subdivision starts.  Points within 1e-15 of
+    0 or pi are dropped, and of points closer than 1e-14 the lower one kept.
     """
     zero = p1.kernel_zero(p2)
     anchors = [] if zero is None else [_bisect_root(*zero)]
@@ -400,27 +406,64 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
     return QuadResult(math.fsum(val), total, a.size, nodes, rounds)
 
 
+def _nearest_finite(kernel: Callable[[np.ndarray], np.ndarray], k: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """kernel at the momentum of [lo, hi] nearest to each k where it is finite; NaN if none.
+
+    k, lo and hi are 1-D, and kernel is non-finite at every k.  On either side,
+    steps of 1, 2, 4, ... ulps of k, the last one cut back to the piece's end,
+    find a finite point; bisection then closes in on the one next to the
+    non-finite run.  The nearer side wins.  kernel is never handed a momentum
+    outside [lo, hi].
+    """
+    x0, end = np.concatenate([k, k]), np.concatenate([lo, hi])
+    bad, good, val = x0.copy(), np.full(x0.shape, np.nan), np.full(x0.shape, np.nan)
+    step = np.spacing(np.abs(x0))
+    todo = np.flatnonzero(end != x0)
+    while todo.size:
+        x = x0[todo] + np.copysign(step[todo], end[todo] - x0[todo])
+        x = np.where(np.sign(end[todo] - x) == np.sign(end[todo] - x0[todo]), x, end[todo])
+        v = kernel(x)
+        ok = np.isfinite(v)
+        good[todo[ok]], val[todo[ok]], bad[todo[~ok]] = x[ok], v[ok], x[~ok]
+        step[todo] *= 2.0
+        todo = todo[~ok & (x != end[todo])]
+    todo = np.flatnonzero(~np.isnan(good))
+    while True:
+        mid = 0.5 * (bad[todo] + good[todo])
+        gap = (mid != bad[todo]) & (mid != good[todo])
+        todo, mid = todo[gap], mid[gap]
+        if not todo.size:
+            break
+        v = kernel(mid)
+        ok = np.isfinite(v)
+        good[todo[ok]], val[todo[ok]], bad[todo[~ok]] = mid[ok], v[ok], mid[~ok]
+    d = np.abs(good - x0)
+    d[np.isnan(d)] = np.inf
+    m = k.size
+    return np.where(d[m:] < d[:m], val[m:], val[:m])
+
+
 def k_integral(p1: ModelParams, p2: ModelParams,
                of_log_f: Callable[[np.ndarray], np.ndarray], budget: float) -> QuadResult:
     """piecewise_quad of k -> of_log_f(ln|f_k|) over [0, pi], split at 0, the breakpoints, pi.
 
-    A node within rounding distance of a kernel zero can see ln|f_k| round to
-    -inf; it is nudged 1e-14 off its piece's nearer inner end (every breakpoint
-    is one, and kernel zeros are polished to within an ulp), which moves the
-    integral by < 1e-14 in measure.  A non-finite value raises NumericsError.
+    The kernel is evaluated at the nodes as they are.  A node within rounding
+    distance of a kernel zero (every zero is a breakpoint, polished to within an
+    ulp) can see ln|f_k| round to -inf; only such a node moves, to the nearest
+    momentum of its own piece where ln|f_k| is finite (_nearest_finite).  A
+    node with no such momentum in its piece keeps a NaN, and piecewise_quad
+    raises NumericsError on its panel.
     """
     kernel, _ = _log_kernel(p1, p2)
 
     def integrand(k: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        end = np.where(k - lo <= hi - k, lo, hi)
-        near = (np.abs(k - end) < 1e-14) & (end > 0.0) & (end < math.pi)
-        k = np.where(near, np.where(k >= end, end + 1e-14, end - 1e-14), k)
-        val = of_log_f(kernel(k))
-        bad = ~np.isfinite(val)
+        lnf = kernel(k)
+        bad = ~np.isfinite(lnf)
         if bad.any():
-            raise NumericsError(f"integrand is singular at an unbracketed point "
-                                f"k = {float(k[bad][0])!r}")
-        return val
+            lnf[bad] = _nearest_finite(kernel, k[bad], np.broadcast_to(lo, k.shape)[bad],
+                                       np.broadcast_to(hi, k.shape)[bad])
+        return of_log_f(lnf)
 
     return piecewise_quad(integrand, [0.0] + integration_breakpoints(p1, p2) + [math.pi], budget)
 

@@ -35,7 +35,8 @@ from spinfid import (
     scaling_B_quadrature,
     susceptibility_smallsystem,
 )
-from spinfid.fidelity import QuadResult, _bisect_root, exact_sum, piecewise_quad
+from spinfid.fidelity import (QUAD_GOAL_SHARE, QuadResult, _bisect_root, exact_sum,
+                              piecewise_quad)
 from spinfid import fidelity, models
 from spinfid.models import MomentumGrid, log_abs_fk_extising, log_abs_fk_xy
 
@@ -500,6 +501,7 @@ class TestIntegral:
 #       f = lnf(p1, p2)
 #       return quad(lambda k: 1 - mp.exp(2 * f(k)), splits(p1, p2)) / pi
 #   print(mp.nstr(fid_ref(*sf.resolve_path(sf.PathA(1.0, 1e-3, 0.5))), 20))  # and so on
+#   print(mp.nstr(fid_ref(*sf.resolve_path(sf.PathB(0.7, 1e-3, 0.0))), 20))  # FINE_TOL_REFERENCE
 #   (a pair of parameter sets goes in as fid_ref(*pair))
 # mp.dps = 30 prints the same digits.
 FIDELITY_REFERENCES = [
@@ -516,6 +518,10 @@ FIDELITY_REFERENCES = [
     (ExtIsingPath(1e-3, 0.6), -0.00099900069261438145979),
     (ExtIsingPath(1e-4, -2.0), -0.000026784922176928346658),
 ]
+# an interior kernel zero at k0 = 0.795, integrated at tol 1e-15: panels next to it
+# shrink to the rounding interval of k0, where ln|f_k| can round to -inf
+FINE_TOL_PAIR = resolve_path(PathB(0.7, 1e-3, 0.0))
+FINE_TOL_REFERENCE = -0.0004997501665417665938
 N_EX_REFERENCES = [
     ((1.0, 1e-3, 0.5), 0.00046667683880620513143),
     ((0.7, 2e-3, -1.5), 0.00050893302478782265903),
@@ -556,6 +562,67 @@ class TestHighPrecision:
         k0 = _bisect_root(fn, math.acos(x))
         below, above = fn(math.nextafter(k0, 0.0)), fn(math.nextafter(k0, 4.0))
         assert fn(k0) == 0.0 or below * fn(k0) <= 0.0 or fn(k0) * above <= 0.0
+
+    @pytest.mark.parametrize("spec, want", FIDELITY_REFERENCES, ids=repr)
+    def test_fidelity_integral_within_the_refinement_goal(self, spec, want):
+        # piecewise_quad refines to QUAD_GOAL_SHARE of the budget, and the integral
+        # lands there: no node next to a kernel zero is moved by more than rounding
+        pair = spec if isinstance(spec, tuple) else resolve_path(spec)
+        tol = 1e-13
+        assert abs(fidelity_integral(*pair, tol=tol) - want) < QUAD_GOAL_SHARE * tol
+
+    def test_fine_tolerance_next_to_an_interior_zero(self):
+        got = fidelity_integral(*FINE_TOL_PAIR, tol=1e-15)
+        assert abs(got - FINE_TOL_REFERENCE) < 1e-15
+
+    def test_nodes_on_a_zero_move_within_their_piece(self, monkeypatch):
+        # every node whose ln|f_k| rounds to -inf is looked at alone: each momentum the
+        # kernel is handed lies in that node's piece, and the value found is finite
+        seen = []
+        real = fidelity._nearest_finite
+
+        def spy(kernel, k, lo, hi):
+            seen.extend(zip(k, lo, hi))
+            return real(kernel, k, lo, hi)
+
+        monkeypatch.setattr(fidelity, "_nearest_finite", spy)
+        fidelity_integral(*FINE_TOL_PAIR, tol=1e-15)
+        assert seen
+        kernel = lambda x: log_abs_fk_xy(x, *FINE_TOL_PAIR)  # noqa: E731
+        for k, lo, hi in seen:
+            handed = []
+
+            def recording(x):
+                handed.append(x.copy())
+                return kernel(x)
+
+            val = real(recording, np.array([k]), np.array([lo]), np.array([hi]))
+            handed = np.concatenate(handed)
+            assert np.all((lo <= handed) & (handed <= hi)), (k, lo, hi)
+            assert np.isfinite(val).all() and not np.isfinite(kernel(np.array([k]))).any()
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.pi * 1e-15), (1.0, 1.0 + 1e-13)])
+    def test_nearest_finite_momentum_at_a_piece_end(self, lo, hi):
+        # a kernel that is -inf on the first tenth of the piece, next to its lower
+        # end: a node there moves up to the first finite momentum and never below lo
+        edge = lo + 0.1 * (hi - lo)
+        handed = []
+
+        def kernel(x):
+            handed.append(x.copy())
+            return np.where(x < edge, -np.inf, x)
+
+        k = np.array([lo + 0.01 * (hi - lo), lo + 0.05 * (hi - lo)])
+        val = fidelity._nearest_finite(kernel, k, np.full(2, lo), np.full(2, hi))
+        assert np.all(val == edge)
+        handed = np.concatenate(handed)
+        assert np.all((lo <= handed) & (handed <= hi))
+
+    def test_no_finite_momentum_in_the_piece_raises(self, monkeypatch):
+        monkeypatch.setattr(fidelity, "log_abs_fk_xy",
+                            lambda x, p1, p2, out=None: np.full(np.shape(x), -np.inf))
+        with pytest.raises(NumericsError, match="non-finite value"):
+            fidelity_integral(*FINE_TOL_PAIR)
 
 
 class TestDriver:
