@@ -449,8 +449,8 @@ def k_integral(p1: ModelParams, p2: ModelParams,
     """piecewise_quad of k -> of_log_f(ln|f_k|) over [0, pi], split at 0, the breakpoints, pi.
 
     The kernel is evaluated at the nodes as they are.  A node within rounding
-    distance of a kernel zero (every zero is a breakpoint, polished to within an
-    ulp) can see ln|f_k| round to -inf; only such a node moves, to the nearest
+    distance of a kernel zero (every zero is a breakpoint, polished by
+    bisection) can see ln|f_k| round to -inf; only such a node moves, to the nearest
     momentum of its own piece where ln|f_k| is finite (_nearest_finite).  A
     node with no such momentum in its piece keeps a NaN, and piecewise_quad
     raises NumericsError on its panel.
