@@ -176,12 +176,13 @@ def log_mode_chunks(p1: ModelParams, p2: ModelParams, grid: MomentumGrid) -> Ite
 
 
 def sum_log_modes(chunks: Iterable[np.ndarray], N: int) -> FidelityResult:
-    """The product's FidelityResult from its ln|f_k| chunks: an exact sum per chunk,
-    math.fsum of the partials, and the exact-zero floor."""
+    """The product's FidelityResult from its non-empty ln|f_k| chunks: an exact sum
+    per chunk, math.fsum of the partials, and the exact-zero floor."""
     exact_zero = False
     partials: list[float] = []
     for vals in chunks:
-        exact_zero = exact_zero or bool(np.any(vals < _LOG_FLOOR))
+        # fmin skips NaN, so this is any(vals < floor) without a comparison array
+        exact_zero = exact_zero or bool(np.fmin.reduce(vals) < _LOG_FLOOR)
         partials.append(exact_sum(vals))
     lnF = math.fsum(partials)
     if exact_zero or lnF == -math.inf:
@@ -355,9 +356,11 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
     of the summed error estimate and evaluates all their nodes in one
     integrand call, until the summed estimate is within QUAD_GOAL_SHARE of
     budget (or at the estimate's rounding floor).  Sums are exactly rounded.
-    A non-finite panel value, or an estimate still over budget at
-    QUAD_MAX_ROUNDS or QUAD_MAX_PANELS, raises NumericsError with the round,
-    panel and node counts and the worst panels.
+    A non-finite panel value, a budget below the rounding floor (50 eps times
+    the summed panel |values|, which no refinement gets under), or an
+    estimate still over budget at QUAD_MAX_ROUNDS or QUAD_MAX_PANELS, raises
+    NumericsError with the round, panel and node counts (and, at a cap, the
+    worst panels).
     """
     edges = np.asarray(edges, dtype=np.float64)
     if not np.all(np.isfinite(edges)):
@@ -376,13 +379,19 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
             raise NumericsError(f"quadrature returned a non-finite value on "
                                 f"{(float(a[i]), float(b[i]))}")
         total = math.fsum(err)
+        # no panel's estimate is below 50 eps of its |value|, so no refinement
+        # brings the summed estimate under this floor
+        floor = _EPS50 * math.fsum(np.abs(val))
         # the estimate is least pessimistic on panels ending at a log singularity
         # (true error up to about 1/50 of it), so refine well below the budget,
-        # but not into the estimate's rounding floor of 50 eps per unit of |f|
-        goal = min(budget, max(QUAD_GOAL_SHARE * budget,
-                               4.0 * _EPS50 * math.fsum(np.abs(val))))
+        # but not into the estimate's rounding floor
+        goal = min(budget, max(QUAD_GOAL_SHARE * budget, 4.0 * floor))
         if total <= goal:
             break
+        if budget < floor:
+            raise NumericsError(f"quadrature budget {budget:.3e} is below the error estimate's "
+                                f"rounding floor {floor:.3e} (50 eps per unit of |f|): {rounds} "
+                                f"rounds, {a.size} panels, {nodes} integrand nodes")
         order = np.argsort(-err, kind="stable")
         nsel = min(int(np.searchsorted(np.cumsum(err[order]), total - 0.5 * goal)) + 1, a.size)
         if rounds == QUAD_MAX_ROUNDS or a.size + nsel > QUAD_MAX_PANELS:

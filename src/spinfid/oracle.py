@@ -12,9 +12,15 @@ site reflection P, which maps k to -k.  At m = 0 and m = N/2 the blocks are
 real and P splits each into a reflection-even and a reflection-odd block.
 For 0 < m < N/2 the antiunitary P o complex conjugation maps the sector onto
 itself; its fixed vectors give a real basis of the same dimension, in which
-the block is real symmetric too.  Every block (at most 176 wide at N = 12,
-594 at N = 14) is solved densely: no iterative solver, no convergence
-ambiguity.
+the block is real symmetric too.  A block (at most 176 wide at N = 12, 594
+at N = 14) is solved densely: no iterative solver, no convergence
+ambiguity.  ed_ground_state needs only the two lowest levels and the ground
+vector, so once it knows two levels it first screens each block: if a
+Cholesky factorization (LAPACK potrf, about a quarter of the eigensolver's
+time on the widest block) of H - tau I completes, tau the second-lowest level so far plus
+a margin above the factorization's backward error (screen_margin), every
+level of the block lies above that level and the block is skipped.  The
+result is bit for bit the one from diagonalizing every block.
 
 The spin terms come from the parameter class (couplings, the coupling-free
 spin_terms pattern, and min_sites, the shortest chain holding every term on
@@ -44,11 +50,42 @@ N_MAX = 14
 #: two ground levels closer than this raise the degeneracy flag
 DEGENERACY_TOL = 1e-10
 
+#: relative margin of ed_ground_state's Cholesky screen (see screen_margin)
+SCREEN_TOL = 1e-9
+
 
 def eigh(a: np.ndarray, **kwargs):
     """scipy.linalg.eigh, imported on first use: only this oracle needs scipy."""
     from scipy.linalg import eigh as scipy_eigh
     return scipy_eigh(a, **kwargs)
+
+
+def screen_margin(sec: Sector, couplings, sigma: float) -> float:
+    """How far above sigma ed_ground_state's screen shifts a block before its Cholesky test.
+
+    If LAPACK potrf completes on the n x n matrix A = H - tau I, then A + dA
+    is positive definite with ||dA||_2 <= e / (1 - e) ||A||_2, where
+    e = n gamma_{n+1}, gamma_{n+1} = (n+1)u / (1 - (n+1)u) and u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 10.1), and ||A||_2 <= sec.norm_bound(couplings) + |tau|.  At
+    n = 594 (the widest block at N = 14) e is 3.9e-11, so a margin of
+    SCREEN_TOL (1 + |sigma| + norm bound) exceeds that perturbation (and the
+    rounding of the shifted diagonal) about 25-fold: every level of a block
+    that passes is above sigma.
+    """
+    return SCREEN_TOL * (1.0 + abs(sigma) + sec.norm_bound(couplings))
+
+
+def _positive_definite(H: np.ndarray, tau: float) -> bool:
+    """Whether LAPACK potrf completes a Cholesky factorization of H - tau I.
+
+    scipy is imported on first use, as in eigh; H is left as it was.
+    """
+    from scipy.linalg.lapack import dpotrf
+    a = H.copy()
+    a.flat[::a.shape[0] + 1] -= tau
+    # a is symmetric, so its transpose is the Fortran-ordered matrix potrf works in place on
+    return dpotrf(a.T, overwrite_a=True, clean=False)[1] == 0
 
 
 @dataclass(frozen=True)
@@ -140,7 +177,8 @@ class Sector:
     Bloch state reps[r] has component coef[r, s] along real basis vector
     cols[r, s], s = 0, 1 (zero where it needs fewer).  The block is
     sum_i couplings[i] * terms[i] at the flat positions flat of its
-    dim x dim matrix.  paired marks 0 < m < N/2, whose levels the -k sector
+    dim x dim matrix, and row_bounds[i] is the largest absolute row sum of
+    terms[i].  paired marks 0 < m < N/2, whose levels the -k sector
     repeats; at m = 0 and N/2, reflection is the block's site-reflection
     eigenvalue (+1 or -1), else 0.
     """
@@ -154,10 +192,16 @@ class Sector:
     coef: np.ndarray
     flat: np.ndarray
     terms: np.ndarray
+    row_bounds: tuple[float, ...]
 
     @property
     def paired(self) -> bool:
         return self.reflection == 0
+
+    def norm_bound(self, couplings) -> float:
+        """sum_i |couplings[i]| row_bounds[i]: the block's infinity norm, hence its
+        2-norm, is at most this."""
+        return sum(abs(c) * r for c, r in zip(couplings, self.row_bounds))
 
     def block(self, couplings) -> np.ndarray:
         h = np.zeros(self.dim * self.dim)
@@ -250,7 +294,8 @@ def _sector(orb: _Orbits, parity: int, m: int, reps: np.ndarray, loc: np.ndarray
     # <c1|term|c2> and <c2|term|c1> agree to rounding only; make them equal
     mirror = np.searchsorted(flat, flat % d * d + flat // d)
     terms = 0.5 * (terms + terms[:, mirror])
-    return Sector(orb, 1 - 2 * parity, m, reflection, d, reps, cols, coef, flat, terms)
+    row_bounds = tuple(float(np.bincount(flat // d, np.abs(t), d).max()) for t in terms)
+    return Sector(orb, 1 - 2 * parity, m, reflection, d, reps, cols, coef, flat, terms, row_bounds)
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,7 +328,7 @@ def sector_blocks(params: ModelParams, N: int) -> Iterator[tuple[Sector, np.ndar
 
 
 def ed_ground_state(params: ModelParams, N: int) -> SpinState:
-    """Global ground state by dense diagonalization of every symmetry block.
+    """Global ground state by dense diagonalization of the symmetry blocks.
 
     Returns the lowest level over all blocks, embedded back into the full
     2^N basis; ties go to even parity, then to the lower m, then to
@@ -291,9 +336,21 @@ def ed_ground_state(params: ModelParams, N: int) -> SpinState:
     spectrum (levels of 0 < m < N/2 counted twice); within DEGENERACY_TOL
     the degenerate flag is raised (the state is still returned; overlaps then
     depend on which member of the ground space it is).
+
+    Once two levels are known, a block is first screened: with sigma the
+    second-lowest level so far, a block whose H - (sigma + screen_margin) I has
+    a Cholesky factor holds only levels above sigma, so it can change neither
+    the two lowest levels nor the ground block, and it is skipped.  Every other
+    block is diagonalized as if there were no screen, so the result is the
+    same, bit for bit, as diagonalizing every block.
     """
+    couplings = params.couplings
     levels, best = [], None
     for sec, H in sector_blocks(params, N):
+        if len(levels) >= 2:
+            sigma = sorted(levels)[1]
+            if _positive_definite(H, sigma + screen_margin(sec, couplings, sigma)):
+                continue
         if sec.paired:
             w = eigh(H, eigvals_only=True, subset_by_index=[0, 0])
             levels += [w[0], w[0]]

@@ -289,6 +289,13 @@ class TestProductEngine:
             got.append(fidelity_product(p1, p2, N).lnF)
         assert got[0] == got[1] == got[2]
 
+    def test_exact_zero_flag_skips_nan(self):
+        # a NaN mode does not hide a sub-floor mode of its chunk, nor raise the flag itself
+        res = fidelity.sum_log_modes([np.array([-1.0]), np.array([np.nan, -800.0, -2.0])], 8)
+        assert res.exact_zero and res.lnF == -math.inf and res.F == 0.0
+        res = fidelity.sum_log_modes([np.array([np.nan, -2.0])], 4)
+        assert not res.exact_zero and math.isnan(res.lnF)
+
     def test_exact_zero_past_the_first_block(self):
         N = 20000
         g = float(np.cos(MomentumGrid(N).modes)[9000])
@@ -639,6 +646,22 @@ class TestDriver:
         res = piecewise_quad(lambda x, lo, hi: np.log(x), [0.0, 1.0], 1e-11)
         assert abs(res.value + 1.0) < 1e-12
         assert res.rounds > 0 and res.panels > 1 and res.nodes == 15 * (2 * res.panels - 1)
+
+    def test_budget_below_the_rounding_floor_raises_at_once(self, monkeypatch):
+        # I is about -0.967, so the k-integral's floor of 50 eps per unit of |ln f| is
+        # about 6.7e-14, ten times the budget 2 pi 1e-15; refining once spent 8
+        # rounds, 3220 panels and 95805 nodes to reach the panel cap
+        rounds = []
+        real = fidelity.gauss_kronrod
+        monkeypatch.setattr(fidelity, "gauss_kronrod",
+                            lambda f, a, b: rounds.append(a.size) or real(f, a, b))
+        with pytest.raises(NumericsError, match=r"budget 6\.283e-15 is below the error estimate's "
+                                                r"rounding floor 6\.\d+e-14 .*: 0 rounds"):
+            fidelity_integral(*UNBRACKETED_PAIR, tol=1e-15)
+        assert len(rounds) == 1
+        with pytest.raises(NumericsError, match=r"rounding floor 1\.110e-14 .*: 0 rounds, 1 panels"):
+            piecewise_quad(lambda x, lo, hi: np.ones_like(x), [0.0, 1.0], 1e-17)
+        assert piecewise_quad(lambda x, lo, hi: np.ones_like(x), [0.0, 1.0], 2e-14).value == 1.0
 
     def test_cap_message_quotes_the_cost(self, monkeypatch):
         every_panel_reports_error_one(monkeypatch)

@@ -1,6 +1,7 @@
 """Dense-diagonalization ground truth: structure, spectra, overlaps."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from spinfid import (
     gap_xy,
     parity_expectation,
 )
-from spinfid.oracle import sector_blocks
+from spinfid import oracle
+from spinfid.oracle import DEGENERACY_TOL, N_MAX, SpinState, screen_margin, sector_blocks
 
 
 def free_fermion_energy(params, N):
@@ -80,11 +82,14 @@ class TestStructure:
     @pytest.mark.parametrize("params", [XYParams(0.8, 0.5), XYParams(-1.3, -0.4), XYParams(0.3, 0.0),
                                         ExtIsingParams(0.35), ExtIsingParams(-1.2)], ids=repr)
     def test_sector_levels_are_the_full_spectrum(self, params, N):
-        # 0 < m < N/2 stands for the +-k pair, so its levels count twice
+        # 0 < m < N/2 stands for the +-k pair, so its levels count twice;
+        # the stored row bounds bound every level of every block
         levels = []
         for sec, block in sector_blocks(params, N):
             assert np.array_equal(block, block.T)
-            levels += list(eigh(block, eigvals_only=True)) * (2 if sec.paired else 1)
+            w = eigh(block, eigvals_only=True)
+            assert max(abs(w[0]), abs(w[-1])) <= sec.norm_bound(params.couplings)
+            levels += list(w) * (2 if sec.paired else 1)
         full = eigh(dense_hamiltonian(params, N), eigvals_only=True)
         assert len(levels) == full.size
         assert np.max(np.abs(np.sort(levels) - full)) <= 1e-11
@@ -290,3 +295,88 @@ class TestOverlap:
                     continue
                 assert abs(fidelity_product(pa, pb, 14).F - ed_overlap(sa, sb)) <= 1e-10
                 done += 1
+
+
+def unscreened_ground_state(params, N):
+    """ed_ground_state without its Cholesky screen: oracle.eigh on every block."""
+    levels, best = [], None
+    for sec, H in sector_blocks(params, N):
+        if sec.paired:
+            w = oracle.eigh(H, eigvals_only=True, subset_by_index=[0, 0])
+            levels += [w[0], w[0]]
+            vec = None
+        else:
+            w, V = oracle.eigh(H, subset_by_index=[0, min(1, sec.dim - 1)])
+            levels += list(w)
+            vec = V[:, 0]
+        if best is None or w[0] < best[0]:
+            best = (w[0], sec, H, vec)
+    energy, sec, H, vec = best
+    if vec is None:
+        vec = oracle.eigh(H, subset_by_index=[0, 0])[1][:, 0]
+    levels.sort()
+    gap = float(levels[1] - levels[0])
+    return SpinState(amplitudes=sec.amplitudes(vec), N=sec.orbits.N, energy=float(energy), gap=gap,
+                     parity=sec.parity, momentum=sec.m, degenerate=gap < DEGENERACY_TOL)
+
+
+def state_bits(state):
+    """Every SpinState field as bytes, so -0.0 and 0.0 or two NaNs differ as bits do."""
+    return {f.name: np.asarray(getattr(state, f.name)).tobytes() for f in fields(state)}
+
+
+# a free ring, the critical fields, the Ising point and extended-Ising points
+# on and between the two phases
+EDGE_CASES = [XYParams(0.0, 0.0), XYParams(1.0, 0.0), XYParams(1.0, 1.0), XYParams(-1.0, 0.5),
+              ExtIsingParams(0.0), ExtIsingParams(1.0), ExtIsingParams(-1.0)]
+
+
+class TestScreen:
+    @pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("kind", ["xy", "ext"])
+    def test_screened_equals_unscreened(self, kind, N):
+        rng = np.random.default_rng([N, kind == "xy", 29])
+        params = [random_params(rng, kind) for _ in range(6)]
+        params += [p for p in EDGE_CASES if isinstance(p, XYParams) == (kind == "xy")]
+        for p in params:
+            assert state_bits(ed_ground_state(p, N)) == state_bits(unscreened_ground_state(p, N)), p
+
+    def test_screened_equals_unscreened_at_largest_size(self):
+        rng = np.random.default_rng([N_MAX, 29])
+        for kind in ("xy", "ext"):
+            for _ in range(4):  # two pairs
+                p = random_params(rng, kind)
+                assert state_bits(ed_ground_state(p, N_MAX)) == state_bits(unscreened_ground_state(p, N_MAX)), p
+
+    def test_screen_skips_blocks(self, monkeypatch):
+        # the screen is what makes the oracle cheap: most blocks never reach eigh
+        dims = []
+        real = oracle.eigh
+        monkeypatch.setattr(oracle, "eigh", lambda a, **kw: dims.append(a.shape[0]) or real(a, **kw))
+        for p in (XYParams(0.7, 0.4), ExtIsingParams(0.3)):
+            dims.clear()
+            ed_ground_state(p, 12)
+            blocks = [sec.dim for sec, _ in sector_blocks(p, 12)]
+            assert len(dims) < len(blocks) // 2 and sum(dims) < sum(blocks) // 4
+
+    @pytest.mark.parametrize("kind", ["xy", "ext"])
+    def test_margin_is_rigorous(self, kind):
+        # Cholesky backward error: potrf completing on A = H - tau I means A + dA is
+        # positive definite with ||dA||_2 <= e / (1 - e) ||A||_2, e = n gamma_{n+1}
+        # (at least n(n+1)u), and ||A||_2 <= norm_bound + |tau|; the margin must
+        # exceed that bound, here with a factor of 20 to spare
+        rng = np.random.default_rng([N_MAX, kind == "xy"])
+        params = [random_params(rng, kind) for _ in range(4)]
+        params += [p for p in EDGE_CASES if isinstance(p, XYParams) == (kind == "xy")]
+        sec, H = max(sector_blocks(params[0], N_MAX), key=lambda b: b[0].dim)
+        n, u = sec.dim, 2.0 ** -53
+        nu = n * (n + 1) * u / (1.0 - (n + 1) * u)
+        assert n == 594 and n * (n + 1) * u <= nu < 4e-11
+        w = eigh(H, eigvals_only=True)
+        assert max(abs(w[0]), abs(w[-1])) <= sec.norm_bound(params[0].couplings)
+        for p in params:
+            bound = sec.norm_bound(p.couplings)
+            for sigma in (-10.0 * bound, -bound, -1.0, 0.0, 1.0, bound, 10.0 * bound):
+                margin = screen_margin(sec, p.couplings, sigma)
+                tau = sigma + margin
+                assert nu / (1.0 - nu) * (bound + abs(tau)) < margin / 20.0, (p, sigma)
