@@ -325,8 +325,8 @@ def state_bits(state):
     return {f.name: np.asarray(getattr(state, f.name)).tobytes() for f in fields(state)}
 
 
-# a free ring, the critical fields, the Ising point and extended-Ising points
-# on and between the two phases
+# degenerate and critical points: the isotropic ring at g = 0 and g = 1, the
+# critical lines g = +-1, and the extended chain at g = 0 and g = +-1
 EDGE_CASES = [XYParams(0.0, 0.0), XYParams(1.0, 0.0), XYParams(1.0, 1.0), XYParams(-1.0, 0.5),
               ExtIsingParams(0.0), ExtIsingParams(1.0), ExtIsingParams(-1.0)]
 
