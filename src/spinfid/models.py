@@ -146,11 +146,12 @@ class ExtIsingParams(ModelParams):
     min_sites = 4
 
     def kernel_zero(self, other):
-        # p_k = 0 at cos k = (1 + g1 g2) / (1 - g1 g2), for couplings of opposite sign
+        # p_k / 2 = g1 g2 + (1 - g1 g2) sin^2(k/2) vanishes at sin^2(k/2) = -g1 g2 / (1 - g1 g2),
+        # for couplings of opposite sign; the form of _pq_extising, with no cancellation near k = 0
         gg = self.g * other.g
-        x = (1.0 + gg) / (1.0 - gg) if gg < 0.0 else math.nan
-        if -1.0 <= x <= 1.0:
-            return lambda k: 1.0 + gg - (1.0 - gg) * math.cos(k), math.acos(x)
+        s2 = -gg / (1.0 - gg) if gg < 0.0 else math.nan
+        if 0.0 <= s2 <= 1.0:
+            return lambda k: gg + (1.0 - gg) * math.sin(0.5 * k) ** 2, 2.0 * math.asin(math.sqrt(s2))
         return None
 
     def gap_minimum(self):

@@ -25,11 +25,16 @@ result is bit for bit the one from diagonalizing every block.
 The spin terms come from the parameter class (couplings, the coupling-free
 spin_terms pattern, and min_sites, the shortest chain holding every term on
 distinct sites), so nothing here depends on the model family.  What does not
-depend on the couplings (orbit, shift and reflection tables and each term's
-sector entries) is built on the first call per (parameter class, N) and kept;
-a call then only combines each sector's terms with its couplings and
-diagonalizes.  dense_hamiltonian builds the full, unsplit 2^N x 2^N matrix
-from the same terms for structural checks.
+depend on the couplings (orbit, shift and reflection tables and every term's
+entries in every block, one array per chain) is built on the first call per
+(parameter class, N) and kept, and so is a block's embedding into the 2^N
+basis once a ground state has needed it.  A call then combines all term
+values with the couplings in one pass, scatters each block's share into its
+matrix and diagonalizes.  scipy is imported on first use and only for its
+LAPACK handles: eigh calls syevr as scipy.linalg.eigh would, without that
+function's per-call Python, and the screen calls potrf.  dense_hamiltonian
+builds the full, unsplit 2^N x 2^N matrix from the same terms for
+structural checks.
 
 Intended for tests and verification runs only: N <= 14.
 """
@@ -37,8 +42,9 @@ Intended for tests and verification runs only: N <= 14.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,10 +60,50 @@ DEGENERACY_TOL = 1e-10
 SCREEN_TOL = 1e-9
 
 
-def eigh(a: np.ndarray, **kwargs):
-    """scipy.linalg.eigh, imported on first use: only this oracle needs scipy."""
-    from scipy.linalg import eigh as scipy_eigh
-    return scipy_eigh(a, **kwargs)
+@functools.lru_cache(maxsize=None)
+def _lapack():
+    """LAPACK (syevr, syevr_lwork, potrf) for float64, looked up on first use:
+    only this oracle needs scipy."""
+    from scipy.linalg.lapack import get_lapack_funcs
+    return get_lapack_funcs(("syevr", "syevr_lwork", "potrf"), dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def _syevr_work(n: int) -> tuple[int, int]:
+    """(lwork, liwork) of syevr at width n, as scipy.linalg.eigh asks for them.
+
+    Kept per width: another workspace can switch LAPACK between blocked and
+    unblocked code and so change the bits of the result.
+    """
+    lwork, liwork, info = _lapack()[1](n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevr workspace query failed: info = {info}")
+    return int(lwork), int(liwork)
+
+
+def eigh(a: np.ndarray, *, eigvals_only: bool = False, subset_by_index):
+    """Levels lo..hi (0-based, ascending) of the real-symmetric a, with their vectors
+    unless eigvals_only: scipy.linalg.eigh(a, eigvals_only=..., subset_by_index=[lo, hi]).
+
+    Calls LAPACK syevr with the arguments scipy.linalg.eigh passes its default
+    evr driver (lower triangle, range 'I', 1-based il/iu, a left as it is, the
+    workspace syevr_lwork gives), so the result is the same, bit for bit,
+    without its per-call Python.  A non-finite entry raises ValueError and a
+    LAPACK failure LinAlgError, as there.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lo, hi = (int(i) for i in subset_by_index)
+    n = a.shape[0]
+    if not 0 <= lo <= hi < n:
+        raise ValueError(f"level indices [{lo}, {hi}] outside [0, {n - 1}]")
+    lwork, liwork = _syevr_work(n)
+    w, v, m, _, info = _lapack()[0](a, compute_v=0 if eigvals_only else 1, range="I", lower=1,
+                                    il=lo + 1, iu=hi + 1, lwork=lwork, liwork=liwork,
+                                    overwrite_a=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK syevr failed: info = {info}")
+    return w[:m] if eigvals_only else (w[:m], v[:, :m])
 
 
 def screen_margin(sec: Sector, couplings, sigma: float) -> float:
@@ -77,15 +123,11 @@ def screen_margin(sec: Sector, couplings, sigma: float) -> float:
 
 
 def _positive_definite(H: np.ndarray, tau: float) -> bool:
-    """Whether LAPACK potrf completes a Cholesky factorization of H - tau I.
-
-    scipy is imported on first use, as in eigh; H is left as it was.
-    """
-    from scipy.linalg.lapack import dpotrf
+    """Whether LAPACK potrf completes a Cholesky factorization of H - tau I; H is left as it was."""
     a = H.copy()
     a.flat[::a.shape[0] + 1] -= tau
     # a is symmetric, so its transpose is the Fortran-ordered matrix potrf works in place on
-    return dpotrf(a.T, overwrite_a=True, clean=False)[1] == 0
+    return _lapack()[2](a.T, overwrite_a=True, clean=False)[1] == 0
 
 
 @dataclass(frozen=True)
@@ -178,9 +220,10 @@ class Sector:
     cols[r, s], s = 0, 1 (zero where it needs fewer).  The block is
     sum_i couplings[i] * terms[i] at the flat positions flat of its
     dim x dim matrix, and row_bounds[i] is the largest absolute row sum of
-    terms[i].  paired marks 0 < m < N/2, whose levels the -k sector
-    repeats; at m = 0 and N/2, reflection is the block's site-reflection
-    eigenvalue (+1 or -1), else 0.
+    terms[i].  terms is a view: the span columns of the one array of term
+    values _sectors keeps for every block of the chain.  paired marks 0 < m < N/2, whose
+    levels the -k sector repeats; at m = 0 and N/2, reflection is the
+    block's site-reflection eigenvalue (+1 or -1), else 0.
     """
     orbits: _Orbits
     parity: int
@@ -193,6 +236,7 @@ class Sector:
     flat: np.ndarray
     terms: np.ndarray
     row_bounds: tuple[float, ...]
+    span: slice
 
     @property
     def paired(self) -> bool:
@@ -201,24 +245,32 @@ class Sector:
     def norm_bound(self, couplings) -> float:
         """sum_i |couplings[i]| row_bounds[i]: the block's infinity norm, hence its
         2-norm, is at most this."""
-        return sum(abs(c) * r for c, r in zip(couplings, self.row_bounds))
+        return sum(map(operator.mul, map(abs, couplings), self.row_bounds))
 
-    def block(self, couplings) -> np.ndarray:
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """The dim x dim block with values (_combine of its terms) at flat, zero elsewhere."""
         h = np.zeros(self.dim * self.dim)
-        # term by term, so mirrored entries round alike and the block is exactly symmetric
-        h[self.flat] = sum(c * t for c, t in zip(couplings, self.terms))
+        h[self.flat] = values
         return h.reshape(self.dim, self.dim)
 
-    def amplitudes(self, vec: np.ndarray) -> np.ndarray:
-        """Real, normalized, phase-fixed 2^N amplitudes of a real block vector (SpinState)."""
+    @functools.cached_property
+    def _embedding(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(positions, columns, phases, root periods): basis state positions[i] is
+        T^-j of representative reps[columns[i]], j = back[positions[i]], and takes
+        phases[i] = exp(2 pi i m j / N) / root periods[i] of that Bloch state."""
         orb = self.orbits
         loc = np.full(orb.rep.size, -1)
         loc[self.reps] = np.arange(self.reps.size)
         col = loc[orb.rep]
-        on = col >= 0
+        on = np.flatnonzero(col >= 0)
+        return on, col[on], orb.phase(self.m, orb.back[on]), np.sqrt(orb.period[on])
+
+    def amplitudes(self, vec: np.ndarray) -> np.ndarray:
+        """Real, normalized, phase-fixed 2^N amplitudes of a real block vector (SpinState)."""
+        on, col, phase, root = self._embedding
         psi = (self.coef * vec[self.cols]).sum(axis=1)
-        full = np.zeros(orb.rep.size, dtype=complex)
-        full[on] = psi[col[on]] * orb.phase(self.m, orb.back[on]) / np.sqrt(orb.period[on])
+        full = np.zeros(self.orbits.rep.size, dtype=complex)
+        full[on] = psi[col] * phase / root
         amp = full.real
         if self.paired and np.linalg.norm(full.imag) > np.linalg.norm(amp):
             amp = full.imag
@@ -295,12 +347,26 @@ def _sector(orb: _Orbits, parity: int, m: int, reps: np.ndarray, loc: np.ndarray
     mirror = np.searchsorted(flat, flat % d * d + flat // d)
     terms = 0.5 * (terms + terms[:, mirror])
     row_bounds = tuple(float(np.bincount(flat // d, np.abs(t), d).max()) for t in terms)
-    return Sector(orb, 1 - 2 * parity, m, reflection, d, reps, cols, coef, flat, terms, row_bounds)
+    return Sector(orb, 1 - 2 * parity, m, reflection, d, reps, cols, coef, flat, terms, row_bounds,
+                  slice(0, flat.size))
+
+
+def _combine(couplings, terms: np.ndarray) -> np.ndarray:
+    """sum_i couplings[i] * terms[i], entry by entry in sum()'s order 0.0 + c_0 t_0 + c_1 t_1 + ...
+
+    Term by term, so mirrored entries round alike and a block is exactly symmetric.
+    """
+    acc = np.zeros(terms.shape[1])
+    tmp = np.empty_like(acc)
+    for c, t in zip(couplings, terms):
+        acc += np.multiply(c, t, out=tmp)
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
-def _sectors(kind: type, N: int) -> tuple[Sector, ...]:
-    """Every non-empty block: even parity first, then by m, reflection-even first."""
+def _sectors(kind: type, N: int) -> tuple[tuple[Sector, ...], np.ndarray]:
+    """Every non-empty block (even parity first, then by m, reflection-even first)
+    and the (terms x entries) values of all their terms, each block's a span of columns."""
     orb = _Orbits(N)
     states = np.arange(1 << N, dtype=np.int64)
     odd = _odd_parity(N)
@@ -317,14 +383,19 @@ def _sectors(kind: type, N: int) -> tuple[Sector, ...]:
             in_m = [(t[:, sel], w[:, sel]) for t, w in pattern]
             sectors += [_sector(orb, parity, m, reps[sel], loc, basis, in_m)
                         for basis in _real_bases(orb, reps[sel], loc, m)]
-    return tuple(sectors)
+    terms = np.concatenate([sec.terms for sec in sectors], axis=1)
+    ends = np.cumsum([sec.flat.size for sec in sectors]).tolist()
+    spans = [slice(stop - sec.flat.size, stop) for sec, stop in zip(sectors, ends)]
+    return tuple(replace(sec, terms=terms[:, span], span=span)
+                 for sec, span in zip(sectors, spans)), terms
 
 
 def sector_blocks(params: ModelParams, N: int) -> Iterator[tuple[Sector, np.ndarray]]:
     """Every symmetry block with its real-symmetric matrix at params, one at a time."""
     N = _check_size(N, params)
-    couplings = params.couplings
-    return ((sec, sec.block(couplings)) for sec in _sectors(type(params), N))
+    sectors, terms = _sectors(type(params), N)
+    values = _combine(params.couplings, terms)
+    return ((sec, sec.scatter(values[sec.span])) for sec in sectors)
 
 
 def ed_ground_state(params: ModelParams, N: int) -> SpinState:
@@ -345,26 +416,25 @@ def ed_ground_state(params: ModelParams, N: int) -> SpinState:
     same, bit for bit, as diagonalizing every block.
     """
     couplings = params.couplings
-    levels, best = [], None
+    levels, best = [], None  # levels: the two lowest so far, ascending
     for sec, H in sector_blocks(params, N):
-        if len(levels) >= 2:
-            sigma = sorted(levels)[1]
+        if len(levels) == 2:
+            sigma = levels[1]
             if _positive_definite(H, sigma + screen_margin(sec, couplings, sigma)):
                 continue
         if sec.paired:
             w = eigh(H, eigvals_only=True, subset_by_index=[0, 0])
-            levels += [w[0], w[0]]
+            levels = sorted(levels + [w[0], w[0]])[:2]
             vec = None
         else:
             w, V = eigh(H, subset_by_index=[0, min(1, sec.dim - 1)])
-            levels += list(w)
+            levels = sorted(levels + list(w))[:2]
             vec = V[:, 0]
         if best is None or w[0] < best[0]:
             best = (w[0], sec, H, vec)
     energy, sec, H, vec = best
     if vec is None:
         vec = eigh(H, subset_by_index=[0, 0])[1][:, 0]
-    levels.sort()
     gap = float(levels[1] - levels[0])
     return SpinState(amplitudes=sec.amplitudes(vec), N=sec.orbits.N, energy=float(energy), gap=gap,
                      parity=sec.parity, momentum=sec.m, degenerate=gap < DEGENERACY_TOL)

@@ -250,6 +250,24 @@ class TestModeKernels:
                                                  rel=1e-12)
             hits += int(not nonzero.all())
 
+    def test_extising_kernel_zero_within_a_few_ulp(self):
+        # the bisected sign change of p_k for couplings of opposite sign, small and
+        # large, against the zero of 1 + g1 g2 - (1 - g1 g2) cos k at 40 digits; the
+        # cancelling form of p_k put it up to 7.6e6 ulp off at such draws
+        from spinfid.fidelity import _bisect_root
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            g1, g2 = 10.0 ** rng.uniform(-4, 0.3), -(10.0 ** rng.uniform(-4, 0.3))
+            fn, guess = ExtIsingParams(g1).kernel_zero(ExtIsingParams(g2))
+            k0 = _bisect_root(fn, guess)
+            with mpmath.workdps(40):
+                gg = mpmath.mpf(g1) * mpmath.mpf(g2)
+                exact = 2 * mpmath.asin(mpmath.sqrt(-gg / (1 - gg)))
+                assert abs(mpmath.mpf(k0) - exact) <= 4 * math.ulp(float(exact)), (g1, g2)
+                assert abs(mpmath.mpf(guess) - exact) <= 4 * math.ulp(float(exact)), (g1, g2)
+        assert ExtIsingParams(0.3).kernel_zero(ExtIsingParams(0.2)) is None
+        assert ExtIsingParams(0.3).kernel_zero(ExtIsingParams(0.0)) is None
+
     def test_degenerate_mode_raises(self):
         # field pinned to the bit-exact cosine of the probe momentum
         from spinfid import MomentumGrid

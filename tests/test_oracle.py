@@ -380,3 +380,127 @@ class TestScreen:
                 margin = screen_margin(sec, p.couplings, sigma)
                 tau = sigma + margin
                 assert nu / (1.0 - nu) * (bound + abs(tau)) < margin / 20.0, (p, sigma)
+
+
+def scipy_ground_state(params, N):
+    """ed_ground_state without the screen, from scipy.linalg.eigh on every block.
+
+    Each block is assembled as sum(c * t) of its terms and the ground vector is
+    embedded with the uncached orbit formula, both written out here.
+    """
+    levels, best = [], None
+    for sec, _ in sector_blocks(params, N):
+        h = np.zeros(sec.dim * sec.dim)
+        h[sec.flat] = sum(c * t for c, t in zip(params.couplings, sec.terms))
+        H = h.reshape(sec.dim, sec.dim)
+        if sec.paired:
+            w = eigh(H, eigvals_only=True, subset_by_index=[0, 0])
+            levels += [w[0], w[0]]
+            vec = None
+        else:
+            w, V = eigh(H, subset_by_index=[0, min(1, sec.dim - 1)])
+            levels += list(w)
+            vec = V[:, 0]
+        if best is None or w[0] < best[0]:
+            best = (w[0], sec, H, vec)
+    energy, sec, H, vec = best
+    if vec is None:
+        vec = eigh(H, subset_by_index=[0, 0])[1][:, 0]
+    levels.sort()
+    gap = float(levels[1] - levels[0])
+    return SpinState(amplitudes=reference_amplitudes(sec, vec), N=N, energy=float(energy), gap=gap,
+                     parity=sec.parity, momentum=sec.m, degenerate=gap < DEGENERACY_TOL)
+
+
+def reference_amplitudes(sec, vec):
+    """Sector.amplitudes with every orbit position, column and phase worked out anew."""
+    orb = sec.orbits
+    N = orb.N
+    loc = np.full(orb.rep.size, -1)
+    loc[sec.reps] = np.arange(sec.reps.size)
+    col = loc[orb.rep]
+    on = col >= 0
+    psi = (sec.coef * vec[sec.cols]).sum(axis=1)
+    full = np.zeros(orb.rep.size, dtype=complex)
+    phase = np.exp(2j * np.pi * ((sec.m * orb.back[on]) % N) / N)
+    full[on] = psi[col[on]] * phase / np.sqrt(orb.period[on])
+    amp = full.real
+    if sec.paired and np.linalg.norm(full.imag) > np.linalg.norm(amp):
+        amp = full.imag
+    amp = amp / np.linalg.norm(amp)
+    imax = int(np.argmax(np.abs(amp)))
+    return -amp if amp[imax] < 0.0 else amp
+
+
+class TestDirectLapack:
+    """oracle.eigh calls LAPACK syevr itself; every result keeps scipy.linalg.eigh's bits."""
+
+    @pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("kind", ["xy", "ext"])
+    def test_eigh_is_scipy_bit_for_bit(self, kind, N):
+        rng = np.random.default_rng([N, kind == "xy", 32])
+        for p in [random_params(rng, kind) for _ in range(2)]:
+            for sec, H in sector_blocks(p, N):
+                for hi in {0, min(1, sec.dim - 1)}:
+                    want = eigh(H, eigvals_only=True, subset_by_index=[0, hi])
+                    got = oracle.eigh(H, eigvals_only=True, subset_by_index=[0, hi])
+                    assert got.tobytes() == want.tobytes(), (p, sec.parity, sec.m, hi)
+                    want_w, want_v = eigh(H, subset_by_index=[0, hi])
+                    got_w, got_v = oracle.eigh(H, subset_by_index=[0, hi])
+                    assert got_w.tobytes() == want_w.tobytes(), (p, sec.parity, sec.m, hi)
+                    assert got_v.tobytes() == want_v.tobytes(), (p, sec.parity, sec.m, hi)
+
+    def test_eigh_leaves_its_input_and_checks_it(self):
+        H = next(sector_blocks(XYParams(0.7, 0.4), 8))[1]
+        before = H.copy()
+        oracle.eigh(H, subset_by_index=[0, 1])
+        assert H.tobytes() == before.tobytes()
+        for bad in (np.nan, np.inf):
+            A = H.copy()
+            A[1, 0] = A[0, 1] = bad
+            with pytest.raises(ValueError):
+                oracle.eigh(A, subset_by_index=[0, 0])
+        with pytest.raises(ValueError):
+            oracle.eigh(H, subset_by_index=[1, 0])
+        with pytest.raises(ValueError):
+            oracle.eigh(H, subset_by_index=[0, H.shape[0]])
+
+    @pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("kind", ["xy", "ext"])
+    def test_ground_state_is_the_scipy_reference(self, kind, N):
+        rng = np.random.default_rng([N, kind == "xy", 320])
+        params = [random_params(rng, kind) for _ in range(6)]
+        params += [p for p in EDGE_CASES + [XYParams(0.0, 1.0)] if isinstance(p, XYParams) == (kind == "xy")]
+        for p in params:
+            assert state_bits(ed_ground_state(p, N)) == state_bits(scipy_ground_state(p, N)), p
+
+    def test_ground_state_is_the_scipy_reference_at_largest_size(self):
+        rng = np.random.default_rng([N_MAX, 32])
+        for kind in ("xy", "ext"):
+            for _ in range(4):  # two pairs
+                p = random_params(rng, kind)
+                assert state_bits(ed_ground_state(p, N_MAX)) == state_bits(scipy_ground_state(p, N_MAX)), p
+
+    @pytest.mark.parametrize("N", [6, 8, 10])
+    def test_amplitudes_of_every_block(self, N):
+        # paired blocks included, whose phases are not +-1; each block twice, so the
+        # second call reads the embedding the first one kept
+        for p in (XYParams(0.3, 0.5), ExtIsingParams(-0.6)):
+            for sec, H in sector_blocks(p, N):
+                vec = eigh(H, subset_by_index=[0, 0])[1][:, 0]
+                want = reference_amplitudes(sec, vec).tobytes()
+                assert sec.amplitudes(vec).tobytes() == want
+                assert sec.amplitudes(vec).tobytes() == want
+
+    def test_blocks_from_one_term_array(self):
+        # every sector's terms view one array, combined with the couplings in one pass
+        # that keeps the bits of sum(c * t) block by block
+        for p in (XYParams(0.7, -0.4), XYParams(0.0, 1.0), ExtIsingParams(-0.3)):
+            blocks = list(sector_blocks(p, 10))
+            base = blocks[0][0].terms.base
+            assert base is not None
+            for sec, H in blocks:
+                assert sec.terms.base is base
+                h = np.zeros(sec.dim * sec.dim)
+                h[sec.flat] = sum(c * t for c, t in zip(p.couplings, sec.terms))
+                assert h.tobytes() == H.tobytes()
