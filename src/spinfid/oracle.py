@@ -257,7 +257,7 @@ class Sector:
     def _embedding(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(positions, columns, phases, root periods): basis state positions[i] is
         T^-j of representative reps[columns[i]], j = back[positions[i]], and takes
-        phases[i] = exp(2 pi i m j / N) / root periods[i] of that Bloch state."""
+        psi[columns[i]] * phases[i] / root periods[i], phases[i] = exp(2 pi i m j / N)."""
         orb = self.orbits
         loc = np.full(orb.rep.size, -1)
         loc[self.reps] = np.arange(self.reps.size)
