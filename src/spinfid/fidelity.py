@@ -223,8 +223,10 @@ def _ladder(anchor: float, scales: tuple[float, ...]) -> list[float]:
     return pts
 
 
-_END_SCALES = tuple(math.pi * 10.0 ** e for e in range(-15, 0)) + (math.pi * 0.3,)
-_INNER_SCALES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
+# half decades from either end, third decades from 1e-4 to 1e-1 around an inner anchor:
+# fine enough that the first G7K15 pass nearly meets the goal on every piece
+_END_SCALES = tuple(math.pi * 10.0 ** (e / 2) for e in range(-30, 0)) + (math.pi * 0.3,)
+_INNER_SCALES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6) + tuple(10.0 ** (e / 3) for e in range(-12, -2))
 
 
 def integration_breakpoints(p1: ModelParams, p2: ModelParams) -> list[float]:
@@ -328,20 +330,22 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.nd
 
     f maps the (panels, 15) array of nodes to the integrand values there.
     The estimate is resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
-    50 eps resabs (Piessens et al., QUADPACK, 1983).
+    50 eps resabs (Piessens et al., QUADPACK, 1983).  The four weighted row
+    sums (Kronrod, Gauss, |f| and |f - K/2|) are matrix products of the node
+    values with the weight vectors, taken on [-1, 1]; the estimate is formed
+    from them and scaled by the half-width |h|, which is the same formula.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fx = f(c[:, None] + h[:, None] * _GK_X)
-    resk = (fx * _GK_WK).sum(axis=1)
-    diff = np.abs(((fx * _GK_WG).sum(axis=1) - resk) * h)
-    ah = np.abs(h)
-    resabs = (np.abs(fx) * _GK_WK).sum(axis=1) * ah
-    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _GK_WK).sum(axis=1) * ah
+    resk = fx @ _GK_WK
+    diff = np.abs(fx @ _GK_WG - resk)
+    resabs = np.abs(fx) @ _GK_WK
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK_WK
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (diff != 0.0), scaled, diff)
-    return resk * h, np.maximum(err, _EPS50 * resabs)
+    return resk * h, np.maximum(err, _EPS50 * resabs) * np.abs(h)
 
 
 def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
@@ -378,10 +382,10 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
             i = int(np.argmin(np.isfinite(val)))
             raise NumericsError(f"quadrature returned a non-finite value on "
                                 f"{(float(a[i]), float(b[i]))}")
-        total = math.fsum(err)
+        total = math.fsum(err.tolist())
         # no panel's estimate is below 50 eps of its |value|, so no refinement
         # brings the summed estimate under this floor
-        floor = _EPS50 * math.fsum(np.abs(val))
+        floor = _EPS50 * math.fsum(np.abs(val).tolist())
         # the estimate is least pessimistic on panels ending at a log singularity
         # (true error up to about 1/50 of it), so refine well below the budget,
         # but not into the estimate's rounding floor
@@ -412,7 +416,7 @@ def piecewise_quad(integrand: Callable[..., np.ndarray], edges: Sequence[float],
         raise NumericsError(f"quadrature error estimate {total:.3e} exceeds budget "
                             f"{budget:.3e} at the {cap} cap: {rounds} rounds, {a.size} "
                             f"panels, {nodes} integrand nodes; worst panels: {worst}")
-    return QuadResult(math.fsum(val), total, a.size, nodes, rounds)
+    return QuadResult(math.fsum(val.tolist()), total, a.size, nodes, rounds)
 
 
 def _nearest_finite(kernel: Callable[[np.ndarray], np.ndarray], k: np.ndarray,

@@ -399,10 +399,11 @@ def _pq_xy(x, p1: XYParams, p2: XYParams) -> tuple[np.ndarray, np.ndarray]:
         for a, g in ((a1, p1.g), (a2, p2.g)):
             np.add(g - 1.0, base[:n], out=a[:n])
             np.add(g, base[n:], out=a[n:])
-    else:
+    else:  # the mask and the gap base once for both states: g - 1 or g, plus the base
         ck, sk = np.cos(x), np.sin(x)
-        s2 = np.sin(0.5 * x) ** 2
-        a1, a2 = (np.where(ck > 0.5, (g - 1.0) + 2.0 * s2, g - ck) for g in (p1.g, p2.g))
+        near = ck > 0.5
+        base = np.where(near, 2.0 * np.sin(0.5 * x) ** 2, -ck)
+        a1, a2 = ((g - near) + base for g in (p1.g, p2.g))
     # a1 a2 + gamma1 gamma2 sk sk and (gamma2 a1 - gamma1 a2) sk, by those operations in place
     t = p1.gamma * p2.gamma * sk
     p = np.add(a1 * a2, np.multiply(t, sk, out=t), out=t)
