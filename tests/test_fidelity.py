@@ -670,6 +670,41 @@ class TestDriver:
             fidelity_integral(*resolve_path(PathA(1.0, 1e-3, 0.5)))
 
 
+# refinement rounds of k_integral at tol 1e-13 on each FIDELITY_REFERENCES row, as
+# measured with half-decade end ladders and third-decade inner rungs from 1e-4 to 1e-1
+# (the coarser ladders took 3, 3, 6, 4, 1, 1, 2, 6, 3)
+REFERENCE_ROUNDS = [2, 1, 7, 3, 1, 1, 1, 6, 1]
+
+
+class TestRoundCounts:
+    """The breakpoint ladders are fine enough that the first G7K15 pass nearly meets
+    the goal; a change that brings the rounds back fails here, not only in timings."""
+
+    @pytest.mark.parametrize("row, bound", list(zip(FIDELITY_REFERENCES, REFERENCE_ROUNDS)),
+                             ids=[repr(spec) for spec, _ in FIDELITY_REFERENCES])
+    def test_k_integral_rounds(self, row, bound):
+        spec, want = row
+        pair = spec if isinstance(spec, tuple) else resolve_path(spec)
+        res = fidelity.k_integral(*pair, lambda lnf: lnf, 2.0 * math.pi * 1e-13)
+        assert res.rounds <= bound, res
+        assert abs(res.value / (2.0 * math.pi) - want) < QUAD_GOAL_SHARE * 1e-13
+
+    # (function, most rounds of any integral, rounds summed over the 60 c); the
+    # decade splits took 146 and 116 in all, with almost every B integral at 2
+    @pytest.mark.parametrize("fn, most, total", [(scaling_A_quadrature, 4, 91),
+                                                 (scaling_B_quadrature, 2, 27)],
+                             ids=["A", "B"])
+    def test_scaled_integral_rounds(self, fn, most, total, monkeypatch):
+        from spinfid import scaling
+        seen = []
+        real = scaling.piecewise_quad
+        monkeypatch.setattr(scaling, "piecewise_quad", lambda *a: seen.append(real(*a)) or seen[-1])
+        for c in np.random.default_rng(33).uniform(0.0, 3.0, 60):
+            fn(float(c))
+        rounds = [r.rounds for r in seen]
+        assert len(rounds) == 60 and max(rounds) <= most and sum(rounds) <= total, rounds
+
+
 def _smooth_rate(spec):
     if isinstance(spec, PathA):
         return -abs(spec.delta) * scaling_A(spec.c) / spec.gamma

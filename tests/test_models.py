@@ -32,7 +32,8 @@ from spinfid import (
     fidelity_product,
     resolve_path,
 )
-from spinfid.models import MAX_FIELD, excitation_probability, log_overlap
+from spinfid.models import (MAX_FIELD, excitation_probability, log_abs_fk_xy, log_overlap,
+                            trig_rows)
 from spinfid.scaling import closed_form_rate, predict_lnF
 
 finite_small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -403,6 +404,35 @@ class TestMomentumGrid:
         assert ks.size == grid.size == 20001
         for lo, hi in ((0, 8192), (8192, 16384), (16384, 20001), (5, 6)):
             assert np.array_equal(grid.block(lo, hi), ks[lo:hi])
+
+    @pytest.mark.parametrize("N", [2, 10, 8194, 100_002, 1 << 21])
+    def test_memo_rows_stand_in_for_the_momenta_bit_for_bit(self, N):
+        # the XY kernel on the grid's momenta and on its memo rows gives the same bits,
+        # and the momenta branch forms g - cos k as (g - 1) + 2 sin^2(k/2) where
+        # cos k > 1/2 and as g - cos k elsewhere, each state on its own: seeded pairs,
+        # pairs with both g within 1e-12 ... 1e-3 of 1, and pairs across g = 1, whose
+        # modes between the two fields have p <= 0
+        grid = MomentumGrid(N)
+        ks, rows = grid.modes, trig_rows(grid)(0, grid.size)
+        rng = np.random.default_rng([33, N])
+        near = lambda: float(1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -3.0))  # noqa: E731
+        gam = lambda: float(rng.uniform(-1.5, 1.5))  # noqa: E731
+        pairs = ([(XYParams(*rng.uniform(-2.0, 2.0, 2)), XYParams(*rng.uniform(-2.0, 2.0, 2)))
+                  for _ in range(3)]
+                 + [(XYParams(near(), gam()), XYParams(near(), gam())) for _ in range(3)]
+                 + [(XYParams(float(rng.uniform(0.0, 1.0)), gam()),
+                     XYParams(float(rng.uniform(1.0, 2.0)), gam())) for _ in range(2)])
+        ck, sk, s2 = np.cos(ks), np.sin(ks), np.sin(0.5 * ks) ** 2
+        nonpositive = 0
+        for p1, p2 in pairs:
+            got = log_abs_fk_xy(ks, p1, p2)
+            assert got.tobytes() == log_abs_fk_xy(rows, p1, p2).tobytes(), (p1, p2)
+            a1, a2 = (np.where(ck > 0.5, (p.g - 1.0) + 2.0 * s2, p.g - ck) for p in (p1, p2))
+            p = a1 * a2 + p1.gamma * p2.gamma * sk * sk
+            q = (p2.gamma * a1 - p1.gamma * a2) * sk
+            assert got.tobytes() == log_overlap(p, q).tobytes(), (p1, p2)
+            nonpositive += int(np.count_nonzero(p <= 0.0))
+        assert nonpositive > 0 or N == 2
 
     def test_size_bound(self):
         assert MomentumGrid(MomentumGrid.MAX_N).N == 2 ** 40
