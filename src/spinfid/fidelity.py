@@ -19,10 +19,12 @@ thermodynamic limit replaces the sum by (N / 2 pi) int_0^pi ln|f_k| dk; the
 integrand has integrable logarithmic singularities wherever f_k crosses zero,
 so the integration interval is pre-split there (each zero polished by
 bisection to within an ulp) and around the gap-closing momenta of either
-state, with geometric ladders around every split point: down to pi 1e-15
-from either end of [0, pi] and to 1e-13 from every inner split point, so
-adaptive refinement does not spend its rounds halving the panel next to a
-singularity down to those widths.  Only a node where ln|f_k| comes out
+state, with geometric ladders around every split point: by half decades down
+to pi 1e-15 from either end of [0, pi], and from every inner split point by
+third decades from 1e-1 to 1e-4 and then at 1e-6, 1e-8 and every decade from
+1e-10 to 1e-13.  Adaptive refinement then does not spend its rounds halving
+the panel next to a singularity down to those widths, and the first pass
+nearly meets the goal.  Only a node where ln|f_k| comes out
 non-finite (one on the rounding interval of a zero) is moved, to the nearest
 momentum of its own piece where it is finite.
 
@@ -226,7 +228,8 @@ def _ladder(anchor: float, scales: tuple[float, ...]) -> list[float]:
 # half decades from either end, third decades from 1e-4 to 1e-1 around an inner anchor:
 # fine enough that the first G7K15 pass nearly meets the goal on every piece
 _END_SCALES = tuple(math.pi * 10.0 ** (e / 2) for e in range(-30, 0)) + (math.pi * 0.3,)
-_INNER_SCALES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6) + tuple(10.0 ** (e / 3) for e in range(-12, -2))
+_INNER_SCALES = ((1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6)
+                 + tuple(10.0 ** (e / 3) for e in range(-12, -2)))
 
 
 def integration_breakpoints(p1: ModelParams, p2: ModelParams) -> list[float]:
@@ -234,9 +237,11 @@ def integration_breakpoints(p1: ModelParams, p2: ModelParams) -> list[float]:
 
     Collects the analytic zeros of f_k (where q_k = 0 with p_k < 0 for the XY
     kernel, p_k = 0 for the extended one), the gap-minimum momenta of either
-    state, and geometric ladders around each of these (1e-13 ... 1e-1) and
-    both interval ends (pi 1e-15 ... 0.3 pi), so that arbitrarily narrow dips
-    are bracketed before adaptive subdivision starts.  Points within 1e-15 of
+    state, and geometric ladders around each of these (1e-13 ... 1e-10 by
+    decades, 1e-8, 1e-6, then 1e-4 ... 1e-1 by third decades) and both interval
+    ends (pi 1e-15 ... pi 10^-0.5 by half decades, and 0.3 pi), so that
+    arbitrarily narrow dips are bracketed before adaptive subdivision starts,
+    and the first G7K15 pass nearly meets the goal.  Points within 1e-15 of
     0 or pi are dropped, and of points closer than 1e-14 the lower one kept.
     """
     zero = p1.kernel_zero(p2)
@@ -332,8 +337,9 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.nd
     The estimate is resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
     50 eps resabs (Piessens et al., QUADPACK, 1983).  The four weighted row
     sums (Kronrod, Gauss, |f| and |f - K/2|) are matrix products of the node
-    values with the weight vectors, taken on [-1, 1]; the estimate is formed
-    from them and scaled by the half-width |h|, which is the same formula.
+    values with the weight vectors on [-1, 1].  The estimate is formed from
+    these unscaled sums and then multiplied by the half-width |h|, which is
+    the same formula: every term of it scales with |h|.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)

@@ -37,7 +37,7 @@ from spinfid import (
 )
 from spinfid.fidelity import (QUAD_GOAL_SHARE, QuadResult, _bisect_root, exact_sum,
                               piecewise_quad)
-from spinfid import fidelity, models
+from spinfid import fidelity, models, scaling
 from spinfid.models import MomentumGrid, log_abs_fk_extising, log_abs_fk_xy
 
 from conftest import even, every_panel_reports_error_one
@@ -672,7 +672,6 @@ class TestDriver:
 
 # refinement rounds of k_integral at tol 1e-13 on each FIDELITY_REFERENCES row, as
 # measured with half-decade end ladders and third-decade inner rungs from 1e-4 to 1e-1
-# (the coarser ladders took 3, 3, 6, 4, 1, 1, 2, 6, 3)
 REFERENCE_ROUNDS = [2, 1, 7, 3, 1, 1, 1, 6, 1]
 
 
@@ -689,13 +688,11 @@ class TestRoundCounts:
         assert res.rounds <= bound, res
         assert abs(res.value / (2.0 * math.pi) - want) < QUAD_GOAL_SHARE * 1e-13
 
-    # (function, most rounds of any integral, rounds summed over the 60 c); the
-    # decade splits took 146 and 116 in all, with almost every B integral at 2
+    # (function, most rounds of any integral, rounds summed over the 60 c)
     @pytest.mark.parametrize("fn, most, total", [(scaling_A_quadrature, 4, 91),
                                                  (scaling_B_quadrature, 2, 27)],
                              ids=["A", "B"])
     def test_scaled_integral_rounds(self, fn, most, total, monkeypatch):
-        from spinfid import scaling
         seen = []
         real = scaling.piecewise_quad
         monkeypatch.setattr(scaling, "piecewise_quad", lambda *a: seen.append(real(*a)) or seen[-1])
